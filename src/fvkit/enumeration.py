@@ -7,18 +7,26 @@ semantic class is such a bitvector together with the first formula found
 denoting it.  Enumerating all classes of the existential tree-prefix level n
 with quantifier blocks of length k is decidable bed-wise:
 
-- level 0 starts from all literals (plus true/false) and closes under binary
-  conjunction and disjunction to a fixpoint;
+- level 0 starts from all literals (plus true/false) and closes under
+  conjunction, then under disjunction, which by distributivity gives the
+  lattice they generate;
 - level n takes the dual classes at level n-1 over the context extended by k
   fresh variables, closes under conjunction (intersection of bitvectors),
   then projects the fresh block existentially -- a bit gather over each row's
   extension block.  The universal dual closes under disjunction and projects
   with "all bits set".
 
+Every closure is a generator fold (see ``_closure``): the classes are folded
+one at a time into a running closure, in popcount order, so a closure costs
+O(generators * classes) rather than a pass over all pairs per round, and an
+input that is already closed costs work only for its irreducible elements.
+
 Class sets drive the transfer oracle (does every existential-class sentence
 true on the left position hold on the right one?), the separator search, and
-the class-counting bound check.  All orders of iteration are deterministic,
-so repeated runs produce byte-identical output.
+the class-counting bound check.  The transfer oracle has one pipeline: its
+level 0 is the literals alone, left to the level-1 fold to combine.  All
+orders of iteration are deterministic, so repeated runs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -71,7 +79,6 @@ def tower_at_least(level: int, base: int, value: int) -> bool:
 @dataclass
 class EnumerationCaps:
     max_classes: int = 200_000
-    max_iters: int = 1000
 
 
 @dataclass(frozen=True)
@@ -202,38 +209,52 @@ def _disjoin(a: Formula, b: Formula) -> Formula:
 
 def _closure(classes: list[SemanticClass], ops: tuple[str, ...],
              caps: EnumerationCaps) -> list[SemanticClass]:
-    """Close under the listed binary operations to a fixpoint (semi-naive:
-    each round combines everything with the previous round's novelties)."""
-    items = _dedupe(classes)
-    if len(items) > caps.max_classes:
+    """Close under each listed operation in turn by a generator fold.
+
+    Each operation is associative, commutative and idempotent, so folding
+    the generators one at a time into a running closure C (C := C + {g} +
+    {c op g : c in C}) yields the closure in O(G * N) steps; a generator
+    already in C adds nothing and is skipped.  Generators are folded in
+    popcount order -- largest first for "and", smallest first for "or" --
+    so on an input that is already closed only its irreducible elements do
+    any work: every other element is the combination of elements folded
+    before it.  Closing under "and" and then "or" gives the generated
+    lattice by distributivity.
+
+    The output lists the input classes first, with their own
+    representatives, then the new classes in fold order.  Passing
+    ``caps.max_classes`` raises CapExceeded; nothing is truncated.
+    """
+    found = {c.bits: c for c in _dedupe(classes)}
+    if len(found) > caps.max_classes:
         raise CapExceeded("class cap exceeded (inconclusive)")
-    seen = {c.bits for c in items}
-    frontier = list(items)
-    for _ in range(caps.max_iters):
-        if not frontier:
-            return items
-        fresh: list[SemanticClass] = []
-        for a in items:
-            for b in frontier:
-                for op in ops:
-                    if op == "and":
-                        bits = a.bits & b.bits
-                        make = _conjoin
-                    else:
-                        bits = a.bits | b.bits
-                        make = _disjoin
-                    if bits in seen:
-                        continue
-                    seen.add(bits)
-                    fresh.append(SemanticClass(bits, make(a.representative,
-                                                          b.representative)))
-                    if len(items) + len(fresh) > caps.max_classes:
+    for op in ops:
+        if op == "and":
+            combine, make, largest_first = int.__and__, _conjoin, True
+        else:
+            combine, make, largest_first = int.__or__, _disjoin, False
+        generators = sorted(found.values(), key=lambda c: c.bits.bit_count(),
+                            reverse=largest_first)
+        closed: list[int] = []
+        inside: set[int] = set()
+        for g in generators:
+            if g.bits in inside:
+                continue
+            before = closed[:]
+            inside.add(g.bits)
+            closed.append(g.bits)
+            for c in before:
+                bits = combine(c, g.bits)
+                if bits in inside:
+                    continue
+                inside.add(bits)
+                closed.append(bits)
+                if bits not in found:
+                    found[bits] = SemanticClass(bits, make(
+                        found[c].representative, g.representative))
+                    if len(found) > caps.max_classes:
                         raise CapExceeded("class cap exceeded (inconclusive)")
-        items.extend(fresh)
-        frontier = fresh
-    if frontier:
-        raise CapExceeded("closure did not reach a fixpoint within max_iters")
-    return items
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +333,25 @@ def _level_classes(mode: str, n: int, k: int, bed: TestBed,
 # Transfer oracle
 
 
+# Class bitsets keyed by (n, k, bed, cap).  Past _TRANSFER_CACHE_SIZE
+# entries the oldest goes first, so a long run's memory stays flat.
+_TRANSFER_CACHE_SIZE = 256
 _transfer_cache: dict[tuple, list[int]] = {}
 
 
 def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
                     a2: Structure, a2_tuple: tuple[str, ...],
-                    caps: EnumerationCaps | None = None,
-                    reduce_generators: bool = True) -> bool:
+                    caps: EnumerationCaps | None = None) -> bool:
     """Does every existential level-n block-k formula true at (a1, a1_tuple)
     hold at (a2, a2_tuple)?
 
-    With ``reduce_generators`` (the default) level 0 contributes literals
-    only and the level-1 closure supplies their conjunctions; this decides
-    transfer identically to the full enumeration -- the distinguishing
-    witnesses are conjunctions of row types, which survive -- while staying
-    tractable.  Pass False for the verbatim full-fixpoint pipeline.
+    Level 0 contributes the literals only, without their and/or closure;
+    the level-1 generator fold supplies their conjunctions.  This decides
+    transfer exactly as the full enumeration would -- a monotone
+    combination of literals transfers whenever the literals do, and the
+    distinguishing witnesses are conjunctions of row types, which survive
+    -- while the class sets stay small enough for n = 2, k = 2 on two
+    pointed 2-element boards, where the full pipeline passes the class cap.
     """
     caps = caps or EnumerationCaps()
     if a1.vocab.relations != a2.vocab.relations:
@@ -335,13 +360,13 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
         raise ValidationError("anchor tuples must have equal length")
     ctx = tuple(f"x{i + 1}" for i in range(len(a1_tuple)))
     bed = TestBed((a1, a2), ctx)
-    cache_key = (n, k, bed.key(), caps.max_classes, caps.max_iters,
-                 reduce_generators)
+    cache_key = (n, k, bed.key(), caps.max_classes)
     bits_list = _transfer_cache.get(cache_key)
     if bits_list is None:
-        classes = _level_classes(SIGMA, n, k, bed, caps,
-                                 full_level0=not reduce_generators)
+        classes = _level_classes(SIGMA, n, k, bed, caps, full_level0=False)
         bits_list = [c.bits for c in classes]
+        if len(_transfer_cache) >= _TRANSFER_CACHE_SIZE:
+            del _transfer_cache[next(iter(_transfer_cache))]
         _transfer_cache[cache_key] = bits_list
     m1 = 1 << bed.row_index(0, tuple(a1_tuple))
     m2 = 1 << bed.row_index(1, tuple(a2_tuple))
@@ -356,7 +381,6 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
 class SeparatorBudget:
     max_width: int = 3
     max_classes: int = 200_000
-    max_iters: int = 1000
     max_work: int = 20_000_000
 
 
@@ -380,7 +404,7 @@ def find_separator(n: int, k: int, a1: Structure, a2: Structure,
     bed = TestBed((a1, a2), ())
     r1 = 1 << bed.row_index(0, ())
     r2 = 1 << bed.row_index(1, ())
-    caps = EnumerationCaps(budget.max_classes, budget.max_iters)
+    caps = EnumerationCaps(budget.max_classes)
     for width in range(1, budget.max_width + 1):
         try:
             classes = _budget_classes(SIGMA, n, k, bed, width, budget,

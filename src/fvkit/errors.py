@@ -26,7 +26,7 @@ class BudgetExceeded(FvError):
 
 
 class CapExceeded(FvError):
-    """Raised when an enumeration exceeds max_classes/max_iters.
+    """Raised when an enumeration exceeds its class cap (max_classes).
 
     Like BudgetExceeded this is an explicit inconclusive outcome; the
     enumeration never returns a truncated (wrong) answer.

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fvkit import (CapExceeded, EnumerationCaps, GameConfig, Player,
-                   SeparatorBudget, Structure, TestBed, ValidationError,
-                   Vocabulary, classify, count_bound_check, enumerate_classes,
-                   evaluate, find_separator, free_variables, parse_formula,
-                   prefix_game_winner, print_formula, tower, transfer_oracle)
+                   SemanticClass, SeparatorBudget, Structure, TestBed,
+                   ValidationError, Vocabulary, classify, count_bound_check,
+                   enumerate_classes, evaluate, find_separator,
+                   free_variables, parse_formula, prefix_game_winner,
+                   print_formula, tower, transfer_oracle)
+from fvkit import enumeration
 from conftest import all_structures, linear_order
 
 VU = Vocabulary({"U": 1})
@@ -119,11 +121,17 @@ def test_transfer_oracle_examples():
 
 
 def test_transfer_oracle_reduced_equals_full():
+    # the full side: every class of the level, with level 0 closed too
     structs = all_structures(VU, 2)
     for a, b in itertools.product(structs[:4], repeat=2):
         for n, k in [(1, 1), (2, 1)]:
-            assert transfer_oracle(n, k, a, (), b, ()) == \
-                transfer_oracle(n, k, a, (), b, (), reduce_generators=False)
+            bed = TestBed((a, b), ())
+            m1 = 1 << bed.row_index(0, ())
+            m2 = 1 << bed.row_index(1, ())
+            full = all(c.bits & m2
+                       for c in enumerate_classes("sigma", n, k, bed)
+                       if c.bits & m1)
+            assert transfer_oracle(n, k, a, (), b, ()) == full
 
 
 def test_transfer_matches_game_spot_checks():
@@ -158,7 +166,7 @@ def test_find_separator_linear_orders():
 def test_find_separator_budget():
     with pytest.raises(ValidationError):
         find_separator(0, 1, WITH_U, WITHOUT_U)
-    tiny = SeparatorBudget(max_width=1, max_classes=3, max_iters=1)
+    tiny = SeparatorBudget(max_width=1, max_classes=3)
     assert find_separator(2, 2, linear_order(3),
                           linear_order(2, prefix="b"), tiny) is None
 
@@ -171,6 +179,10 @@ def test_count_bound_check_cells():
     sentence_bed = u_bed(())
     out0 = count_bound_check(0, 0, 0, VU, sentence_bed)
     assert out0["count"] == 2 and out0["bound"] == 2 and out0["ok"]
+    # criterion 8's heaviest cell; the pairwise closure also counts 25
+    out2 = count_bound_check(1, 2, 1, VU, bed)
+    assert out2["ok"] is True
+    assert out2["count"] == 25
 
 
 def test_count_bound_check_validates():
@@ -186,3 +198,84 @@ def test_tower_monotone(level, base):
         assert tower(level, base + 1) >= tower(level, base)
         if level >= 1:
             assert tower(level, base) >= base
+
+
+def _pairwise_closure(classes, ops, caps):
+    """The closure before the generator fold, kept as the reference: each
+    round combines every known class with each of the last round's new
+    classes, under every operation at once, until nothing new appears."""
+    items = enumeration._dedupe(classes)
+    if len(items) > caps.max_classes:
+        raise CapExceeded("class cap exceeded (inconclusive)")
+    seen = {c.bits for c in items}
+    frontier = list(items)
+    while frontier:
+        fresh = []
+        for a in items:
+            for b in frontier:
+                for op in ops:
+                    if op == "and":
+                        bits = a.bits & b.bits
+                        make = enumeration._conjoin
+                    else:
+                        bits = a.bits | b.bits
+                        make = enumeration._disjoin
+                    if bits in seen:
+                        continue
+                    seen.add(bits)
+                    fresh.append(SemanticClass(bits, make(a.representative,
+                                                          b.representative)))
+                    if len(items) + len(fresh) > caps.max_classes:
+                        raise CapExceeded("class cap exceeded (inconclusive)")
+        items.extend(fresh)
+        frontier = fresh
+    return items
+
+
+def _closure_cells():
+    """Named class-set computations that all go through ``_closure``."""
+    caps = EnumerationCaps()
+    structs = tuple(all_structures(VU, 2))
+    cells = []
+    for t in (0, 1):
+        bed = u_bed(("x1",)[:t])
+        for n in (0, 1):
+            for m in (0, 1, 2):
+                if (n, m, t) != (1, 2, 1):
+                    cells.append((f"count n={n} m={m} t={t}",
+                                  enumeration._rank_classes, "sigma", n, m,
+                                  bed, caps))
+        for mode in ("sigma", "pi"):
+            for n, k in ((0, 1), (1, 1), (1, 2), (2, 1)):
+                # with a point, the pairwise closure needs about two minutes
+                # per cell at (1, 2) and (2, 1) on the whole bed, so those
+                # two run on its 1-element boards plus one 2-element board
+                cell_bed = bed
+                if t and n + k == 3:
+                    cell_bed = TestBed(structs[:2] + structs[3:4], ("x1",))
+                cells.append((f"enumerate {mode} n={n} k={k} t={t}",
+                              enumerate_classes, mode, n, k, cell_bed))
+    # the transfer oracle's class sets on criterion 5's boards: unordered
+    # pairs, leaving out pointed pairs of two 2-element boards (the
+    # pairwise closure spends seconds on each at n = k = 2)
+    for i, j in itertools.combinations_with_replacement(range(len(structs)),
+                                                         2):
+        a, b = structs[i], structs[j]
+        for t in (0, 1):
+            if t and len(a.universe) == len(b.universe) == 2:
+                continue
+            bed = TestBed((a, b), ("x1",)[:t])
+            for n in (0, 1, 2):
+                for k in (1, 2):
+                    cells.append((f"transfer {i}/{j} n={n} k={k} t={t}",
+                                  enumeration._level_classes, "sigma", n, k,
+                                  bed, caps, False))
+    return cells
+
+
+def test_fold_matches_pairwise_closure(monkeypatch):
+    cells = _closure_cells()
+    fold = {name: {c.bits for c in fn(*args)} for name, fn, *args in cells}
+    monkeypatch.setattr(enumeration, "_closure", _pairwise_closure)
+    for name, fn, *args in cells:
+        assert {c.bits for c in fn(*args)} == fold[name], name
