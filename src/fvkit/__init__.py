@@ -24,11 +24,11 @@ from .interp import (Interpretation, SumLikeOp, apply_interpretation,
                      apply_sum_like, builtin, interpretation_from_json,
                      interpretation_to_json, load_interpretation,
                      transform_formula)
-from .decompose import (DecomposeOptions, PAnd, PBot, POr, PTop, PVar,
-                        P_BOT, P_TOP, PropFormula, ReductionSequence,
-                        VarPartition, decompose, decompose_over_op,
-                        eval_prop, eval_reduction, normalize_pairs,
-                        prop_from_json, prop_size, prop_to_json, prop_vars,
+from .decompose import (PAnd, PBot, POr, PTop, PVar, P_BOT, P_TOP,
+                        PropFormula, ReductionSequence, VarPartition,
+                        decompose, decompose_over_op, eval_prop,
+                        eval_reduction, normalize_pairs, prop_from_json,
+                        prop_size, prop_to_json, prop_vars,
                         reduction_from_json, reduction_stats,
                         reduction_to_json, simplify_reduction)
 from .efgame import (GameConfig, Player, prefix_game_winner,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "And", "Bot", "BudgetExceeded", "BOT", "CapExceeded", "Classification",
-    "DecomposeOptions", "EnumerationCaps", "EvalCache", "Exists", "Forall",
+    "EnumerationCaps", "EvalCache", "Exists", "Forall",
     "Formula", "FvError", "GameConfig", "Interpretation", "Literal", "MARK",
     "Or", "PAnd", "PBot", "POr", "PTop", "PVar", "P_BOT", "P_TOP",
     "ParseError", "PI", "Player", "PropFormula", "ReductionSequence",

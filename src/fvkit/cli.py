@@ -18,9 +18,9 @@ import os
 import sys
 import time
 
-from .decompose import (DecomposeOptions, VarPartition, decompose,
-                        decompose_over_op, eval_reduction, reduction_stats,
-                        reduction_to_json)
+from .decompose import (VarPartition, decompose, decompose_over_op,
+                        eval_reduction, reduction_stats, reduction_to_json,
+                        simplify_reduction)
 from .efgame import GameConfig, prefix_game_winner, tree_prefix_game_winner
 from .enumeration import (EnumerationCaps, TestBed, count_bound_check,
                           enumerate_classes)
@@ -92,19 +92,20 @@ def _cmd_classify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     partition = VarPartition(_split_csv(args.left), _split_csv(args.right))
-    options = DecomposeOptions(simplify=args.simplify)
     if args.op and args.interp:
         raise ValidationError("--op and --interp are mutually exclusive")
     if args.op or args.interp:
         op = _resolve_op(args.op) if args.op else \
             SumLikeOp("custom", load_interpretation(args.interp))
         f = parse_formula(args.formula, op.interp.target_vocab)
-        d = decompose_over_op(f, op, partition, options)
+        d = decompose_over_op(f, op, partition)
     else:
         if not args.vocab:
             raise ValidationError("--vocab is required without --op/--interp")
         f = parse_formula(args.formula, _load_vocab(args.vocab))
-        d = decompose(f, partition, options)
+        d = decompose(f, partition)
+    if args.simplify:
+        d = simplify_reduction(d)
     text = json.dumps(reduction_to_json(d), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -441,6 +442,9 @@ def run(argv) -> int:
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

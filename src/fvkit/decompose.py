@@ -176,12 +176,6 @@ class ReductionSequence:
                     f"beta references factor ({index}, {side}) beyond delta{side}")
 
 
-@dataclass(frozen=True)
-class DecomposeOptions:
-    simplify: bool = False
-    memoize: bool = True
-
-
 def reduction_stats(d: ReductionSequence) -> dict:
     total = (sum(formula_size(f) for f in d.delta1)
              + sum(formula_size(f) for f in d.delta2)
@@ -383,8 +377,7 @@ def _in_pair_form(d: ReductionSequence, mode: str) -> bool:
 # The decomposition itself
 
 
-def decompose(f: Formula, partition: VarPartition,
-              options: DecomposeOptions = DecomposeOptions()) -> ReductionSequence:
+def decompose(f: Formula, partition: VarPartition) -> ReductionSequence:
     """Decompose f (over the union vocabulary, marker included) with respect
     to the marked disjoint union.
 
@@ -398,14 +391,10 @@ def decompose(f: Formula, partition: VarPartition,
     missing = [v for v in free_variables(f) if v not in sides]
     if missing:
         raise ValidationError(f"partition does not cover free variables {missing}")
-    engine = _Engine(sides, options)
-    delta1, delta2, beta = engine.run(f)
+    delta1, delta2, beta = _Engine(sides).run(f)
     component_vocab = Vocabulary(
         {name: ar for name, ar in _collect_vocab(f).items() if name != MARK})
-    d = ReductionSequence(delta1, delta2, beta, partition, component_vocab)
-    if options.simplify:
-        d = simplify_reduction(d)
-    return d
+    return ReductionSequence(delta1, delta2, beta, partition, component_vocab)
 
 
 def _collect_vocab(f: Formula) -> dict[str, int]:
@@ -420,48 +409,35 @@ def _collect_vocab(f: Formula) -> dict[str, int]:
     return out
 
 
-def decompose_over_op(f: Formula, op: SumLikeOp, partition: VarPartition,
-                      options: DecomposeOptions = DecomposeOptions()
-                      ) -> ReductionSequence:
+def decompose_over_op(f: Formula, op: SumLikeOp,
+                      partition: VarPartition) -> ReductionSequence:
     """Decompose with respect to a sum-like operation: rewrite through the
     operation's interpretation, then decompose over the marked union."""
-    return decompose(transform_formula(op.interp, f), partition, options)
+    return decompose(transform_formula(op.interp, f), partition)
 
 
 _Triple = tuple[tuple[Formula, ...], tuple[Formula, ...], PropFormula]
 
 
 class _Engine:
-    def __init__(self, sides: dict[str, int], options: DecomposeOptions):
+    """One decomposition run.  ``sides`` maps every variable in scope to its
+    component; results are memoized on (subformula, sides of its free
+    variables), so structurally equal subformulas are decomposed once."""
+
+    def __init__(self, sides: dict[str, int]):
         self.sides = dict(sides)
-        self.options = options
         self._memo: dict[tuple, ReductionSequence] = {}
-        self._fv: dict[int, tuple[str, ...]] = {}
-        self._pin: list[Formula] = []
 
     def run(self, f: Formula) -> _Triple:
         d = self._rec(f)
         return d.delta1, d.delta2, d.beta
 
-    def _free(self, f: Formula) -> tuple[str, ...]:
-        fv = self._fv.get(id(f))
-        if fv is None:
-            fv = free_variables(f)
-            self._fv[id(f)] = fv
-            self._pin.append(f)
-        return fv
-
     def _rec(self, f: Formula) -> ReductionSequence:
-        key = None
-        if self.options.memoize:
-            key = (id(f), tuple(self.sides[v] for v in self._free(f)))
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        out = self._build(f)
-        if key is not None:
-            self._memo[key] = out
-        return out
+        key = (f, tuple(self.sides[v] for v in free_variables(f)))
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._build(f)
+        return hit
 
     def _mk(self, delta1, delta2, beta) -> ReductionSequence:
         # partition/vocab are irrelevant during recursion; patched at the top.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 from .errors import ParseError, ValidationError
@@ -72,7 +72,33 @@ def vocabulary_to_json(vocab: Vocabulary) -> dict:
 # AST
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Freeze ``cls`` as a dataclass whose hash is computed once per node.
+
+    The hash and the free variables (see :func:`free_variables`) are kept on
+    the node but are not fields, so ``==`` and ``repr`` see only the fields.
+    Pickling drops them: string hashes differ between processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(tuple([getattr(self, n) for n in names]))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {n: getattr(self, n) for n in names}
+
+    cls._hash = cls._free = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_node
 class Literal:
     """An atom or negated atom; ``relation`` may be a vocabulary symbol or "="."""
 
@@ -84,19 +110,19 @@ class Literal:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Top:
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@_node
 class Bot:
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     children: tuple["Formula", ...]
 
@@ -108,7 +134,7 @@ class And:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     children: tuple["Formula", ...]
 
@@ -120,7 +146,7 @@ class Or:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Exists:
     var: str
     body: "Formula"
@@ -129,7 +155,7 @@ class Exists:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Forall:
     var: str
     body: "Formula"
@@ -149,22 +175,25 @@ BOT = Bot()
 
 
 def free_variables(f: Formula) -> tuple[str, ...]:
-    """Free variables in first-occurrence (left-to-right) order."""
-    seen: dict[str, None] = {}
+    """Free variables in first-occurrence (left-to-right) order.
 
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Literal):
-            for a in g.args:
-                if a not in bound and a not in seen:
-                    seen[a] = None
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c, bound)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
-    return tuple(seen)
+    Computed once per node from the children's tuples and kept on the node.
+    """
+    fv = f._free
+    if fv is None:
+        if isinstance(f, Literal):
+            fv = tuple(dict.fromkeys(f.args))
+        elif isinstance(f, (And, Or)):
+            seen: dict[str, None] = {}
+            for c in f.children:
+                seen.update(dict.fromkeys(free_variables(c)))
+            fv = tuple(seen)
+        elif isinstance(f, (Exists, Forall)):
+            fv = tuple(v for v in free_variables(f.body) if v != f.var)
+        else:
+            fv = ()
+        object.__setattr__(f, "_free", fv)
+    return fv
 
 
 def formula_size(f: Formula) -> int:

@@ -114,15 +114,11 @@ def apply_interpretation(xi: Interpretation, source: Structure) -> Structure:
         defn = xi.relation_formulas[name]
         names = [f"y{i + 1}" for i in range(arity)]
         rows = set()
-        for row in _tuples(universe, arity):
+        for row in itertools.product(universe, repeat=arity):
             if evaluate(source, defn, dict(zip(names, row))):
                 rows.add(row)
         relations[name] = frozenset(rows)
     return Structure(xi.target_vocab, universe, relations)
-
-
-def _tuples(universe: tuple[str, ...], arity: int):
-    return itertools.product(universe, repeat=arity)
 
 
 def transform_formula(xi: Interpretation, f: Formula) -> Formula:

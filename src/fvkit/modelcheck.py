@@ -12,8 +12,6 @@ from .structure import Structure
 # Atom evaluations allowed per call before giving up.
 DEFAULT_ATOM_BUDGET = 10_000_000
 
-Assignment = dict
-
 
 def assignment_from_json(data: dict) -> dict[str, str]:
     if not isinstance(data, dict):
@@ -100,10 +98,11 @@ def _restore(asg: dict[str, str], var: str, saved: Optional[str]) -> None:
 class EvalCache:
     """Memoizing evaluator for one structure.
 
-    Decomposition output shares subformula objects heavily; keying results on
-    (subformula identity, assignment restricted to its free variables) turns
-    the repeated factor checks into dictionary hits.  Agrees with
-    :func:`evaluate` on every input.
+    Decomposition output repeats subformulas heavily; keying results on
+    (subformula, assignment restricted to its free variables) turns the
+    repeated factor checks into dictionary hits.  Formulas compare
+    structurally and hash once, so equal subformulas share entries however
+    they were built.  Agrees with :func:`evaluate` on every input.
     """
 
     def __init__(self, structure: Structure,
@@ -111,34 +110,22 @@ class EvalCache:
         self.structure = structure
         self._budget = [max_atom_checks]
         self._memo: dict[tuple, bool] = {}
-        self._fv: dict[int, tuple[str, ...]] = {}
-        self._pin: dict[int, Formula] = {}
-
-    def _free(self, f: Formula) -> tuple[str, ...]:
-        fv = self._fv.get(id(f))
-        if fv is None:
-            fv = free_variables(f)
-            self._fv[id(f)] = fv
-            self._pin[id(f)] = f
-        return fv
 
     def evaluate(self, f: Formula, asg: dict[str, str]) -> bool:
-        key = (id(f), tuple(asg[v] for v in self._free(f)))
+        key = (f, tuple(asg[v] for v in free_variables(f)))
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._run(f, dict(asg))
-            self._memo[key] = hit
-            self._pin[id(f)] = f
+            hit = self._memo[key] = self._run(f, dict(asg))
         return hit
 
     def _run(self, f: Formula, asg: dict[str, str]) -> bool:
         if isinstance(f, (Top, Bot, Literal)):
             return _eval(self.structure, f, asg, self._budget)
         if isinstance(f, And):
-            return all(self.evaluate(c, _project(asg, self._free(c)))
+            return all(self.evaluate(c, _project(asg, free_variables(c)))
                        for c in f.children)
         if isinstance(f, Or):
-            return any(self.evaluate(c, _project(asg, self._free(c)))
+            return any(self.evaluate(c, _project(asg, free_variables(c)))
                        for c in f.children)
         if isinstance(f, Exists):
             return any(self._bind(f.body, asg, f.var, e)
@@ -149,7 +136,7 @@ class EvalCache:
         raise TypeError(f"not a formula: {f!r}")
 
     def _bind(self, body: Formula, asg: dict[str, str], var: str, elem: str) -> bool:
-        inner = _project(asg, self._free(body))
+        inner = _project(asg, free_variables(body))
         inner[var] = elem
         return self.evaluate(body, inner)
 
@@ -157,6 +144,3 @@ class EvalCache:
 def _project(asg: dict[str, str], fv: tuple[str, ...]) -> dict[str, str]:
     return {v: asg[v] for v in fv if v in asg}
 
-
-# Conventional short name (shadows nothing outside this module).
-eval = evaluate

@@ -79,6 +79,8 @@ def structure_from_json(data: dict) -> Structure:
         if field_name not in data:
             raise ValidationError(f"structure JSON lacks {field_name!r}")
     vocab = vocabulary_from_json(data["vocabulary"])
+    if not isinstance(data["universe"], list):
+        raise ValidationError("universe must be a list")
     universe = tuple(str(e) for e in data["universe"])
     raw = data.get("relations", {})
     if not isinstance(raw, dict):
@@ -87,6 +89,9 @@ def structure_from_json(data: dict) -> Structure:
     for name, rows in raw.items():
         if name not in vocab:
             raise ValidationError(f"relation {name!r} not in vocabulary")
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise ValidationError(f"relation {name!r} must be a list of lists")
         relations[name] = frozenset(tuple(str(e) for e in row) for row in rows)
     return Structure(vocab, universe, relations)
 

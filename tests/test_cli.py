@@ -153,6 +153,29 @@ def test_usage_errors(files, capsys):
     assert run(["nosuchcommand"]) == 2
 
 
+def test_eval_rejects_string_universe(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vocabulary": {"U": 1}, "universe": "ab",
+                                "relations": {}}))
+    assert run(["eval", "--structure", str(path),
+                "--formula", "(exists (z) (U z))"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--formula",
+     "(exists (x) " * 1500 + "(E x x)" + ")" * 1500, "--vocab", '{"E": 2}'],
+    ["decompose", "--formula",
+     "(and (E x x) " * 400 + "(E x x)" + ")" * 400, "--vocab", '{"E": 2}',
+     "--left", "x"],
+], ids=["classify-1500-exists", "decompose-400-and"])
+def test_deep_input_is_an_input_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_cap_exit_code(files, capsys):
     code = run(["enumerate", "--class", "sigma", "--n", "2", "--k", "2",
                 "--structures", str(files / "structs"),

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from fvkit import (And, BOT, Bot, Exists, Forall, Literal, Or, ParseError,
                    TOP, Top, ValidationError, Vocabulary, classify,
                    formula_size, free_variables, negate_dual, parse_formula,
                    print_formula, quantifier_rank, random_formula)
+from fvkit.formula import subformulas
 
 VE = Vocabulary({"E": 2})
 VU = Vocabulary({"U": 1})
@@ -83,6 +86,66 @@ def test_free_variables_order():
     assert free_variables(parse_formula("(E x y)", VE)) == ("x", "y")
     assert free_variables(parse_formula("(exists (x) (E x y))", VE)) == ("y",)
     assert free_variables(parse_formula("true", VE)) == ()
+
+
+def _free_variables_walk(f):
+    """The recursive walk free_variables used before it cached its result."""
+    seen = {}
+
+    def walk(g, bound):
+        if isinstance(g, Literal):
+            for a in g.args:
+                if a not in bound and a not in seen:
+                    seen[a] = None
+        elif isinstance(g, (And, Or)):
+            for c in g.children:
+                walk(c, bound)
+        elif isinstance(g, (Exists, Forall)):
+            walk(g.body, bound | {g.var})
+
+    walk(f, frozenset())
+    return tuple(seen)
+
+
+def test_node_caches_agree_with_structure():
+    # Four separate builds of each formula: two generator runs, two parses.
+    # The caches fill root-first on one build and leaves-first on the others.
+    for seed in range(150):
+        cls = ("sigma", "pi")[seed % 2]
+        n = (seed // 2) % 3
+        m = n + (seed // 6) % (4 - n)
+        fv = ("v1", "v2")[:seed % 3]
+        built = [random_formula(cls, n=n, m=m, vocab=VEU, free_vars=fv,
+                                seed=seed) for _ in range(2)]
+        text = print_formula(built[0])
+        built += [parse_formula(text, VEU) for _ in range(2)]
+        hash(built[0])
+        free_variables(built[0])
+        subs = [list(subformulas(f)) for f in built]
+        for group in zip(*(reversed(s) for s in subs)):
+            reference = _free_variables_walk(group[0])
+            for g in group:
+                assert g == group[0]
+                assert hash(g) == hash(group[0])
+                assert free_variables(g) == reference
+            assert repr(group[0]) == repr(group[1])
+        if built[0] not in (TOP, BOT):  # the only shared nodes
+            assert len({id(f) for f in built}) == 4
+
+
+def test_node_caches_stay_out_of_fields_and_pickles():
+    f = parse_formula("(forall (x) (or (E x y) (exists (z) (E z x))))", VE)
+    hash(f)
+    free_variables(f)
+    assert repr(f) == ("Forall(var='x', body=Or(children=(Literal(positive="
+                       "True, relation='E', args=('x', 'y')), Exists(var='z', "
+                       "body=Literal(positive=True, relation='E', "
+                       "args=('z', 'x'))))))")
+    back = pickle.loads(pickle.dumps(f))
+    # String hashes differ between processes, so pickles carry no caches.
+    assert vars(back) == {"var": "x", "body": f.body}
+    assert back == f and hash(back) == hash(f)
+    assert free_variables(back) == ("y",)
 
 
 def test_formula_size_counts_nodes():

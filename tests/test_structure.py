@@ -118,3 +118,15 @@ def test_json_loader_validates():
                              "relations": {"E": [["0"]]}})
     with pytest.raises(ValidationError):
         structure_from_json([1, 2, 3])
+
+
+@pytest.mark.parametrize("universe, relations", [
+    ("ab", {}),                      # universe as a string
+    (["a", "b"], {"U": "ab"}),       # row list as a string
+    (["a", "b"], {"U": ["a", "b"]}),  # rows as strings
+    (["a", "b"], {"U": {"a": 1}}),   # row list as an object
+])
+def test_json_loader_rejects_strings_for_lists(universe, relations):
+    with pytest.raises(ValidationError):
+        structure_from_json({"vocabulary": {"U": 1}, "universe": universe,
+                             "relations": relations})
