@@ -7,6 +7,12 @@ sides swap for the next round -- that swap is what matches the quantifier
 alternation of block-uniform prefix formulas.  After the last round Duplicator
 wins iff the final tuples define a partial isomorphism.
 
+Partial isomorphism is hereditary, so the solver tests it pebble by pebble:
+a reply element whose pair breaks it loses at once, with every extension.
+The final check reads only the set of pebble pairs, so positions are that
+set (plus rounds left and side), and tuples that differ in order or repeats
+share one memo entry.
+
 Duplicator wins the *tree* variant iff she wins the prefix game from both
 orders of the pair; that mirrors closure of tree-shaped classes under
 conjunction, where branches may start with either quantifier.
@@ -61,42 +67,86 @@ def prefix_game_winner(config: GameConfig, a: Structure,
                        max_positions: int = DEFAULT_POSITION_BUDGET) -> Player:
     """Solve the prefix game started with Spoiler to move on ``a``.
 
-    Deterministic exhaustive minimax with memoization; raises BudgetExceeded
-    past ``max_positions`` explored positions instead of running unbounded.
-    """
-    _check_position(a, tuple(a_tuple), b, tuple(b_tuple))
-    budget = [max_positions]
-    memo: dict = {}
+    Deterministic exhaustive minimax.  A position is the set of pebble pairs
+    ``(a-element, b-element)`` placed so far, with the rounds left and the
+    board Spoiler moves on; order and repeats in the tuples do not matter,
+    since the final check reads only that set.  The start tuples are checked
+    once with :func:`is_partial_isomorphism`.  Duplicator's reply is then
+    searched one element at a time, and an element whose pair breaks the
+    partial isomorphism is refused at once: the property is hereditary, so
+    every extension of that reply loses too.  Every position reached is thus
+    a partial isomorphism, and one with no rounds left is Duplicator's.
 
-    def dup_wins(n: int, left_is_a: bool, left_tup: tuple[str, ...],
-                 right_tup: tuple[str, ...]) -> bool:
-        left, right = (a, b) if left_is_a else (b, a)
+    Results are memoized on ``(rounds left, side, set of pairs)``.  The
+    budget counts Spoiler-to-move positions that miss the memo; past
+    ``max_positions`` of them the call raises BudgetExceeded instead of
+    running unbounded.
+    """
+    a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
+    _check_position(a, a_tuple, b, b_tuple)
+    if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
+        return Player.Spoiler  # every final position extends the start
+    tables = [(arity, a.relations[name], b.relations[name])
+              for name, arity in a.vocab.relations.items()]
+    k = config.tuple_size
+    memo: dict = {}
+    explored = 0
+
+    def extends(pairs: frozenset, pair: tuple[str, str]) -> bool:
+        # pairs is a partial isomorphism; test only the rows with the new pair
+        u, v = pair
+        for p, q in pairs:
+            if (p == u) != (q == v):
+                return False
+        old = tuple(pairs)
+        full = old + (pair,)
+        for arity, rows_a, rows_b in tables:
+            for i in range(arity):  # i = position of the first new pebble
+                for head in itertools.product(old, repeat=i):
+                    for tail in itertools.product(full, repeat=arity - i - 1):
+                        row_a, row_b = zip(*head, pair, *tail)
+                        if (row_a in rows_a) != (row_b in rows_b):
+                            return False
+        return True
+
+    def answered(n: int, left_is_a: bool, pairs: frozenset,
+                 move: tuple[str, ...], right: tuple[str, ...]) -> bool:
+        if not move:
+            # sides swap: the next block of quantifiers is the other kind
+            return dup_wins(n - 1, not left_is_a, pairs)
+        x, rest = move[0], move[1:]
+        for y in right:
+            pair = (x, y) if left_is_a else (y, x)
+            if pair in pairs:
+                grown = pairs
+            elif extends(pairs, pair):
+                grown = pairs | {pair}
+            else:
+                continue
+            if answered(n, left_is_a, grown, rest, right):
+                return True
+        return False
+
+    def dup_wins(n: int, left_is_a: bool, pairs: frozenset) -> bool:
+        nonlocal explored
         if n == 0:
-            return is_partial_isomorphism(left, left_tup, right, right_tup)
-        key = (n, left_is_a, left_tup, right_tup)
+            return True
+        key = (n, left_is_a, pairs)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded("game position budget exhausted")
-        k = config.tuple_size
-        result = True
-        for move in itertools.product(left.universe, repeat=k):
-            answered = False
-            for reply in itertools.product(right.universe, repeat=k):
-                # sides swap: the next block of quantifiers is the other kind
-                if dup_wins(n - 1, not left_is_a,
-                            right_tup + reply, left_tup + move):
-                    answered = True
-                    break
-            if not answered:
-                result = False
-                break
+        explored += 1
+        if explored > max_positions:
+            raise BudgetExceeded(
+                f"game position budget exhausted: {explored} positions "
+                f"explored, limit {max_positions}")
+        left, right = (a, b) if left_is_a else (b, a)
+        result = all(answered(n, left_is_a, pairs, move, right.universe)
+                     for move in itertools.product(left.universe, repeat=k))
         memo[key] = result
         return result
 
-    won = dup_wins(config.rounds, True, tuple(a_tuple), tuple(b_tuple))
+    won = dup_wins(config.rounds, True, frozenset(zip(a_tuple, b_tuple)))
     return Player.Duplicator if won else Player.Spoiler
 
 

@@ -75,8 +75,9 @@ def vocabulary_to_json(vocab: Vocabulary) -> dict:
 def _node(cls):
     """Freeze ``cls`` as a dataclass whose hash is computed once per node.
 
-    The hash and the free variables (see :func:`free_variables`) are kept on
-    the node but are not fields, so ``==`` and ``repr`` see only the fields.
+    The hash, the free variables (see :func:`free_variables`) and the
+    quantifier-free flag (see :func:`is_quantifier_free`) are kept on the
+    node but are not fields, so ``==`` and ``repr`` see only the fields.
     Pickling drops them: string hashes differ between processes.
     """
     cls = dataclass(frozen=True)(cls)
@@ -92,7 +93,7 @@ def _node(cls):
     def __getstate__(self) -> dict:
         return {n: getattr(self, n) for n in names}
 
-    cls._hash = cls._free = None
+    cls._hash = cls._free = cls._qf = None
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
@@ -209,11 +210,15 @@ def formula_size(f: Formula) -> int:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Literal, Top, Bot)):
-        return True
-    if isinstance(f, (And, Or)):
-        return all(is_quantifier_free(c) for c in f.children)
-    return False
+    """Computed once per node from the children's flags and kept on the node."""
+    qf = f._qf
+    if qf is None:
+        if isinstance(f, (And, Or)):
+            qf = all(is_quantifier_free(c) for c in f.children)
+        else:
+            qf = isinstance(f, (Literal, Top, Bot))
+        object.__setattr__(f, "_qf", qf)
+    return qf
 
 
 def _depth(f: Formula) -> int:

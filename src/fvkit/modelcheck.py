@@ -43,12 +43,13 @@ def evaluate(structure: Structure, f: Formula, asg: dict[str, str],
     rather than running unbounded.
     """
     _check_assignment(structure, f, asg)
-    budget = [max_atom_checks]
+    budget = [max_atom_checks, max_atom_checks]
     return _eval(structure, f, dict(asg), budget)
 
 
 def _eval(structure: Structure, f: Formula, asg: dict[str, str],
           budget: list[int]) -> bool:
+    # budget is [checks left, limit]
     if isinstance(f, Top):
         return True
     if isinstance(f, Bot):
@@ -56,7 +57,9 @@ def _eval(structure: Structure, f: Formula, asg: dict[str, str],
     if isinstance(f, Literal):
         budget[0] -= 1
         if budget[0] < 0:
-            raise BudgetExceeded("atom-check budget exhausted")
+            raise BudgetExceeded(
+                f"atom-check budget exhausted: {budget[1] - budget[0]} atom "
+                f"checks, limit {budget[1]}")
         if f.relation != "=" and f.relation not in structure.relations:
             raise ValidationError(
                 f"relation {f.relation!r} not in the structure's vocabulary")
@@ -108,7 +111,7 @@ class EvalCache:
     def __init__(self, structure: Structure,
                  max_atom_checks: int = DEFAULT_ATOM_BUDGET):
         self.structure = structure
-        self._budget = [max_atom_checks]
+        self._budget = [max_atom_checks, max_atom_checks]
         self._memo: dict[tuple, bool] = {}
 
     def evaluate(self, f: Formula, asg: dict[str, str]) -> bool:

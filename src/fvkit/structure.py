@@ -143,11 +143,12 @@ def is_partial_isomorphism(a: Structure, a_tuple: tuple[str, ...],
         raise ValidationError("vocabulary mismatch")
     if len(a_tuple) != len(b_tuple):
         raise ValidationError("tuple length mismatch")
+    a_elems, b_elems = set(a.universe), set(b.universe)
     for e in a_tuple:
-        if e not in set(a.universe):
+        if e not in a_elems:
             raise ValidationError(f"unknown element {e!r} on the left")
     for e in b_tuple:
-        if e not in set(b.universe):
+        if e not in b_elems:
             raise ValidationError(f"unknown element {e!r} on the right")
     n = len(a_tuple)
     for i in range(n):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,39 @@ L4 = linear_order(4, prefix="b")
 
 WITH_U = Structure(VU, ("a",), {"U": frozenset({("a",)})})
 WITHOUT_U = Structure(VU, ("b",), {"U": frozenset()})
+
+
+def reference_winner(config, a, a_tuple, b, b_tuple):
+    """The solver prefix_game_winner used before it pruned each new pebble:
+    every line is played to the last round, the memo is keyed on ordered
+    tuples, and only full tuples are checked."""
+    memo = {}
+
+    def dup_wins(n, left_is_a, left_tup, right_tup):
+        left, right = (a, b) if left_is_a else (b, a)
+        if n == 0:
+            return is_partial_isomorphism(left, left_tup, right, right_tup)
+        key = (n, left_is_a, left_tup, right_tup)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        k = config.tuple_size
+        result = True
+        for move in itertools.product(left.universe, repeat=k):
+            answered = False
+            for reply in itertools.product(right.universe, repeat=k):
+                if dup_wins(n - 1, not left_is_a,
+                            right_tup + reply, left_tup + move):
+                    answered = True
+                    break
+            if not answered:
+                result = False
+                break
+        memo[key] = result
+        return result
+
+    won = dup_wins(config.rounds, True, tuple(a_tuple), tuple(b_tuple))
+    return Player.Duplicator if won else Player.Spoiler
 
 
 def test_game_config_validation():
@@ -59,9 +94,91 @@ def test_game_validates():
 def test_position_budget():
     big = linear_order(7)
     other = linear_order(8, prefix="b")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match="51 positions explored, limit 50$"):
         prefix_game_winner(GameConfig(3, 2), big, (), other, (),
                            max_positions=50)
+
+
+def test_matches_reference_on_pointed_unary_boards():
+    boards = all_structures(VU, 2)
+    pointed = [(s, ()) for s in boards] + \
+        [(s, (e,)) for s in boards for e in s.universe]
+    games = 0
+    for n, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        cfg = GameConfig(n, k)
+        for (a, ta), (b, tb) in itertools.product(pointed, repeat=2):
+            if len(ta) == len(tb):
+                assert prefix_game_winner(cfg, a, ta, b, tb) == \
+                    reference_winner(cfg, a, ta, b, tb), (n, k, a, ta, b, tb)
+                games += 1
+    assert games == 4 * (6 * 6 + 10 * 10)
+
+
+def test_matches_reference_on_chains():
+    winners = set()
+    for p, q in itertools.product(range(1, 6), repeat=2):
+        a, b = linear_order(p), linear_order(q, prefix="b")
+        for n in (1, 2, 3):
+            cfg = GameConfig(n, 1)
+            winner = prefix_game_winner(cfg, a, (), b, ())
+            assert winner == reference_winner(cfg, a, (), b, ()), (p, q, n)
+            winners.add(winner)
+    assert winners == {Player.Duplicator, Player.Spoiler}
+
+
+def test_matches_reference_on_binary_boards():
+    # loops make the rows that repeat the new pebble, (x, x), matter
+    boards = all_structures(Vocabulary({"E": 2}), 2)
+    for n, k in ((1, 1), (2, 1), (1, 2)):
+        cfg = GameConfig(n, k)
+        for a, b in itertools.product(boards, repeat=2):
+            assert prefix_game_winner(cfg, a, (), b, ()) == \
+                reference_winner(cfg, a, (), b, ()), (n, k, a, b)
+
+
+def test_lost_start_position():
+    for cfg in (GameConfig(1, 1), GameConfig(2, 1), GameConfig(1, 2)):
+        # the order flips between the pebbles
+        assert prefix_game_winner(cfg, L5, ("a1", "a2"), L4,
+                                  ("b2", "b1")) == Player.Spoiler
+        # one side repeats a pebble, the other does not
+        assert prefix_game_winner(cfg, L5, ("a3", "a3"), L4,
+                                  ("b1", "b4")) == Player.Spoiler
+        assert tree_prefix_game_winner(cfg, L4, ("b1", "b4"), L5,
+                                       ("a3", "a3")) == Player.Spoiler
+
+
+def test_repeated_pebbles_match_reference():
+    left = Structure(VU, ("a", "x"), {"U": frozenset({("a",)})})
+    right = Structure(VU, ("b", "c", "d"),
+                      {"U": frozenset({("b",), ("c",)})})
+    starts = [(("a", "a"), ("b", "b")), (("a", "a"), ("b", "c")),
+              (("a", "x", "a"), ("b", "d", "b")),
+              (("a", "a"), ("d", "d"))]
+    for n, k in ((0, 1), (1, 1), (1, 2), (2, 1), (2, 2)):
+        cfg = GameConfig(n, k)
+        for ta, tb in starts:
+            for args in ((left, ta, right, tb), (right, tb, left, ta)):
+                assert prefix_game_winner(cfg, *args) == \
+                    reference_winner(cfg, *args), (n, k, args)
+    assert prefix_game_winner(GameConfig(1, 1), left, ("a", "a"), right,
+                              ("b", "b")) == Player.Duplicator
+    assert prefix_game_winner(GameConfig(1, 1), left, ("a", "a"), right,
+                              ("b", "c")) == Player.Spoiler
+
+
+# The heaviest tree games of the benchmark's game ladder, with the winners
+# it stores, plus two cells that Spoiler wins.
+@pytest.mark.parametrize("n,k,p,q,winner", [
+    (3, 2, 4, 4, Player.Duplicator),
+    (4, 1, 6, 6, Player.Duplicator),
+    (4, 1, 6, 5, Player.Spoiler),
+    (2, 2, 5, 4, Player.Spoiler),
+])
+def test_game_ladder_cells(n, k, p, q, winner):
+    a, b = linear_order(p), linear_order(q, prefix="b")
+    assert tree_prefix_game_winner(GameConfig(n, k), a, (), b, ()) == winner
 
 
 @st.composite

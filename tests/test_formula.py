@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from fvkit import (And, BOT, Bot, Exists, Forall, Literal, Or, ParseError,
                    TOP, Top, ValidationError, Vocabulary, classify,
-                   formula_size, free_variables, negate_dual, parse_formula,
-                   print_formula, quantifier_rank, random_formula)
+                   formula_size, free_variables, is_quantifier_free,
+                   negate_dual, parse_formula, print_formula, quantifier_rank,
+                   random_formula)
 from fvkit.formula import subformulas
 
 VE = Vocabulary({"E": 2})
@@ -107,6 +108,15 @@ def _free_variables_walk(f):
     return tuple(seen)
 
 
+def _quantifier_free_walk(f):
+    """The recursive walk is_quantifier_free used before it cached its flag."""
+    if isinstance(f, (Literal, Top, Bot)):
+        return True
+    if isinstance(f, (And, Or)):
+        return all(_quantifier_free_walk(c) for c in f.children)
+    return False
+
+
 def test_node_caches_agree_with_structure():
     # Four separate builds of each formula: two generator runs, two parses.
     # The caches fill root-first on one build and leaves-first on the others.
@@ -121,13 +131,16 @@ def test_node_caches_agree_with_structure():
         built += [parse_formula(text, VEU) for _ in range(2)]
         hash(built[0])
         free_variables(built[0])
+        is_quantifier_free(built[0])
         subs = [list(subformulas(f)) for f in built]
         for group in zip(*(reversed(s) for s in subs)):
             reference = _free_variables_walk(group[0])
+            qf = _quantifier_free_walk(group[0])
             for g in group:
                 assert g == group[0]
                 assert hash(g) == hash(group[0])
                 assert free_variables(g) == reference
+                assert is_quantifier_free(g) is qf
             assert repr(group[0]) == repr(group[1])
         if built[0] not in (TOP, BOT):  # the only shared nodes
             assert len({id(f) for f in built}) == 4
@@ -137,6 +150,7 @@ def test_node_caches_stay_out_of_fields_and_pickles():
     f = parse_formula("(forall (x) (or (E x y) (exists (z) (E z x))))", VE)
     hash(f)
     free_variables(f)
+    is_quantifier_free(f)
     assert repr(f) == ("Forall(var='x', body=Or(children=(Literal(positive="
                        "True, relation='E', args=('x', 'y')), Exists(var='z', "
                        "body=Literal(positive=True, relation='E', "
@@ -146,6 +160,8 @@ def test_node_caches_stay_out_of_fields_and_pickles():
     assert vars(back) == {"var": "x", "body": f.body}
     assert back == f and hash(back) == hash(f)
     assert free_variables(back) == ("y",)
+    assert is_quantifier_free(back) is False
+    assert is_quantifier_free(back.body.children[0]) is True
 
 
 def test_formula_size_counts_nodes():

@@ -48,8 +48,13 @@ def test_eval_work_cap():
                     {"E": frozenset()})
     # body is true everywhere, so the universal scan cannot short-circuit
     deep = parse_formula("(forall (a b c d e f g) (not (E a b)))", VE)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match="10001 atom checks, limit 10000$"):
         evaluate(big, deep, {}, max_atom_checks=10_000)
+    # the cache checks each (a, b) once: 144 atoms
+    cache = EvalCache(big, max_atom_checks=100)
+    with pytest.raises(BudgetExceeded, match="101 atom checks, limit 100$"):
+        cache.evaluate(deep, {})
 
 
 @st.composite
