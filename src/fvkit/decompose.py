@@ -16,12 +16,21 @@ conjunction of disjunction pairs.  The quantifier cases peel one binder,
 decompose the body twice (bound variable sent left, sent right), and stitch
 the two views together; connective cases renormalize with a DNF/CNF
 distribution over the selector formula.
+
+The distribution works on integer bitmasks: each distinct (side, factor
+formula) gets an id, a block is the bitmask of its ids plus the ids in the
+order they joined it, and absorption keeps the minimal masks (the first
+occurrence of each), found through per-id occurrence lists of the masks kept
+so far.  During the recursion a result keeps its own factor lists, and a
+quantified result its pair list rather than a beta tree; the one reduction
+sequence, with its beta, is laid out once at the top.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ValidationError
 from .formula import (And, Bot, Exists, Forall, Formula, Literal, Or, Top,
@@ -222,26 +231,49 @@ PI = "pi"
 _Block = tuple[tuple[Formula, ...], tuple[Formula, ...]]
 
 
-def _prune(blocks: list[_Block]) -> list[_Block]:
-    """Absorption: drop any block whose per-side picks contain some other
-    block's picks -- a superset conjunction is redundant inside a
-    disjunction, and dually for clauses.  Equal pick sets in different
-    orders keep the first occurrence, so block order stays stable."""
+class _Pairs(NamedTuple):
+    """A reduction in pair normal form, before it is placed into a whole
+    reduction: factor pair i is ``(delta1[i], delta2[i])``, and beta is
+    ``_pair_beta(len(delta1), mode)``."""
+
+    mode: str
+    delta1: tuple[Formula, ...]
+    delta2: tuple[Formula, ...]
+
+
+def _prune(blocks: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """Absorption: drop any block whose picks contain some other block's
+    picks -- a superset conjunction is redundant inside a disjunction, and
+    dually for clauses.
+
+    ``blocks`` maps a block's bitmask over factor ids to its picks (the ids
+    in insertion order) and holds the first occurrence of each mask.  The
+    masks are walked in popcount order and a mask is kept unless a mask
+    kept before it is a subset of it.  Each kept mask is listed under the
+    one of its ids whose occurrence list is shortest, so a candidate only
+    checks the lists of its own ids.  Survivors keep their original order.
+    """
     if len(blocks) < 2:
         return blocks
-    sets = [(frozenset(l), frozenset(r)) for l, r in blocks]
-    out = []
-    for i, (li, ri) in enumerate(sets):
-        dominated = False
-        for j, (lj, rj) in enumerate(sets):
-            if j == i:
-                continue
-            if lj <= li and rj <= ri and ((lj, rj) != (li, ri) or j < i):
-                dominated = True
-                break
-        if not dominated:
-            out.append(blocks[i])
-    return out
+    if 0 in blocks:
+        return {0: blocks[0]}    # the empty block absorbs every other one
+    occurs: defaultdict[int, list[int]] = defaultdict(list)
+    kept = set()
+    for mask in sorted(blocks, key=int.bit_count):
+        lists = [occurs[i] for i in blocks[mask]]
+        if not _absorbed(mask, lists):
+            min(lists, key=len).append(mask)
+            kept.add(mask)
+    return {mask: picks for mask, picks in blocks.items() if mask in kept}
+
+
+def _absorbed(mask: int, lists: list[list[int]]) -> bool:
+    # plain loops: this is the innermost loop of the distribution
+    for listed in lists:
+        for kept in listed:
+            if kept & mask == kept:
+                return True
+    return False
 
 
 def _distribute(p: PropFormula, delta1: tuple[Formula, ...],
@@ -252,68 +284,78 @@ def _distribute(p: PropFormula, delta1: tuple[Formula, ...],
     Sigma: the disjuncts of a DNF of beta; a block's picks form a
     conjunction, so ``true`` factors fold away, a ``false`` factor kills its
     disjunct, repeated picks collapse, and absorbed blocks are pruned.  Pi
-    is the clause-wise dual.  Blocks come out leftmost-most-significant
-    with duplicates removed; folding and pruning keep the distribution's
-    intermediate size proportional to the number of *surviving* blocks
-    rather than to 2^(variables).
+    is the clause-wise dual.  Blocks come out leftmost-most-significant,
+    and of blocks with equal pick sets the first is kept; folding and
+    pruning keep the distribution's intermediate size proportional to the
+    number of *surviving* blocks rather than to 2^(variables).
+
+    Each distinct (side, factor formula) gets an id on first use, and a
+    block is its bitmask over those ids plus its picks, the ids in the
+    order they joined it.  Besides ``PVar`` leaves, ``p`` may hold
+    :class:`_Pairs` in place of the pair-form beta over their own factors.
     """
     conj = mode == SIGMA
     neutral_t = Top if conj else Bot
     absorb_t = Bot if conj else Top
-
-    def add(state: _Block, var: PVar):
-        g = (delta1 if var.side == 1 else delta2)[var.index]
-        if isinstance(g, neutral_t):
-            return state
-        if isinstance(g, absorb_t):
-            return None
-        left, right = state
-        if var.side == 1:
-            return state if g in left else (left + (g,), right)
-        return state if g in right else (left, right + (g,))
-
-    def combine(s: _Block, t: _Block) -> _Block:
-        left = list(s[0])
-        right = list(s[1])
-        left.extend(g for g in t[0] if g not in left)
-        right.extend(g for g in t[1] if g not in right)
-        return tuple(left), tuple(right)
-
     unit_t = PTop if conj else PBot      # one empty block
-    void_t = PBot if conj else PTop      # no blocks at all
-    spread_t = POr if conj else PAnd     # blocks accumulate across children
-    empty: _Block = ((), ())
+    ids: tuple[dict[Formula, int], ...] = ({}, {})
+    factors: list[tuple[int, Formula]] = []
+    empty = {0: ()}
 
-    def rec(q: PropFormula) -> list[_Block]:
-        if isinstance(q, PVar):
-            st = add(empty, q)
-            return [st] if st is not None else []
-        if isinstance(q, unit_t):
-            return [empty]
-        if isinstance(q, void_t):
-            return []
-        if isinstance(q, spread_t):
-            seen: dict[_Block, None] = {}
-            for c in q.children:
-                for st in rec(c):
-                    seen.setdefault(st)
-            return _prune(list(seen))
-        acc: list[_Block] = [empty]
-        for c in q.children:
-            parts = rec(c)
-            nxt: dict[_Block, None] = {}
-            for s in acc:
-                for t in parts:
-                    nxt.setdefault(combine(s, t))
-            acc = _prune(list(nxt))
+    def leaf(side: int, g: Formula) -> dict[int, tuple[int, ...]]:
+        if isinstance(g, neutral_t):
+            return empty
+        if isinstance(g, absorb_t):
+            return {}
+        i = ids[side - 1].get(g)
+        if i is None:
+            i = ids[side - 1][g] = len(factors)
+            factors.append((side, g))
+        return {1 << i: (i,)}
+
+    def junction(is_and: bool, children) -> dict[int, tuple[int, ...]]:
+        if is_and != conj:
+            # blocks accumulate across children
+            seen: dict[int, tuple[int, ...]] = {}
+            for blocks in children:
+                for mask, picks in blocks.items():
+                    seen.setdefault(mask, picks)
+            return _prune(seen)
+        acc = empty
+        for blocks in children:
+            nxt: dict[int, tuple[int, ...]] = {}
+            for ms, ps in acc.items():
+                for mt, pt in blocks.items():
+                    mask = ms | mt
+                    if mask not in nxt:
+                        new = mask ^ ms    # the ids of t that s lacks
+                        nxt[mask] = ps + (pt if new == mt else tuple(
+                            i for i in pt if new >> i & 1))
+            acc = _prune(nxt)
             if not acc:
                 break
         return acc
 
-    seen: dict[_Block, None] = {}
-    for st in rec(p):
-        seen.setdefault(st)
-    return _prune(list(seen))
+    def rec(q) -> dict[int, tuple[int, ...]]:
+        if isinstance(q, PVar):
+            return leaf(q.side, (delta1 if q.side == 1 else delta2)[q.index])
+        if isinstance(q, _Pairs):
+            pair_and = q.mode == SIGMA
+            pairs = (junction(pair_and, (leaf(1, g1), leaf(2, g2)))
+                     for g1, g2 in zip(q.delta1, q.delta2))
+            if len(q.delta1) == 1:
+                return next(pairs)
+            return junction(not pair_and, pairs)
+        if isinstance(q, (PTop, PBot)):
+            return empty if isinstance(q, unit_t) else {}
+        return junction(isinstance(q, PAnd), (rec(c) for c in q.children))
+
+    out = []
+    for picks in rec(p).values():
+        chosen = [factors[i] for i in picks]
+        out.append((tuple(g for side, g in chosen if side == 1),
+                    tuple(g for side, g in chosen if side == 2)))
+    return out
 
 
 def _build_factor(picked: tuple[Formula, ...], mode: str) -> Formula:
@@ -324,12 +366,22 @@ def _build_factor(picked: tuple[Formula, ...], mode: str) -> Formula:
     return And(picked) if mode == SIGMA else Or(picked)
 
 
-def _pair_beta(count: int, mode: str) -> PropFormula:
+def _pair_beta(count: int, mode: str, base: int = 0) -> PropFormula:
+    """The pair-form beta over ``count`` factor pairs, the first of them at
+    index ``base`` of both deltas."""
     pair = PAnd if mode == SIGMA else POr
-    blocks = tuple(pair((PVar(i, 1), PVar(i, 2))) for i in range(count))
+    blocks = tuple(pair((PVar(base + i, 1), PVar(base + i, 2)))
+                   for i in range(count))
     if count == 1:
         return blocks[0]
     return POr(blocks) if mode == SIGMA else PAnd(blocks)
+
+
+def _normalize(p: PropFormula, delta1: tuple[Formula, ...],
+               delta2: tuple[Formula, ...], mode: str) -> _Pairs:
+    blocks = _distribute(p, delta1, delta2, mode)
+    return _Pairs(mode, tuple(_build_factor(left, mode) for left, _ in blocks),
+                  tuple(_build_factor(right, mode) for _, right in blocks))
 
 
 def normalize_pairs(d: ReductionSequence, mode: str) -> ReductionSequence:
@@ -343,10 +395,9 @@ def normalize_pairs(d: ReductionSequence, mode: str) -> ReductionSequence:
     """
     if mode not in (SIGMA, PI):
         raise ValidationError(f"mode must be {SIGMA!r} or {PI!r}")
-    blocks = _distribute(d.beta, d.delta1, d.delta2, mode)
-    delta1 = tuple(_build_factor(left, mode) for left, _ in blocks)
-    delta2 = tuple(_build_factor(right, mode) for _, right in blocks)
-    return ReductionSequence(delta1, delta2, _pair_beta(len(blocks), mode),
+    pairs = _normalize(d.beta, d.delta1, d.delta2, mode)
+    return ReductionSequence(pairs.delta1, pairs.delta2,
+                             _pair_beta(len(pairs.delta1), mode),
                              d.partition, d.vocab)
 
 
@@ -416,114 +467,101 @@ def decompose_over_op(f: Formula, op: SumLikeOp,
     return decompose(transform_formula(op.interp, f), partition)
 
 
-_Triple = tuple[tuple[Formula, ...], tuple[Formula, ...], PropFormula]
+# An engine result: P_TOP, P_BOT, a _Pairs, or -- for a quantifier-free
+# connective -- a PAnd/POr whose children are the children's results.
+_Part = Union[PTop, PBot, PAnd, POr, _Pairs]
 
 
 class _Engine:
     """One decomposition run.  ``sides`` maps every variable in scope to its
     component; results are memoized on (subformula, sides of its free
-    variables), so structurally equal subformulas are decomposed once."""
+    variables), so structurally equal subformulas are decomposed once.
+
+    Results keep their own factor lists; :meth:`run` lays them out once,
+    into the whole reduction's lists and beta."""
 
     def __init__(self, sides: dict[str, int]):
         self.sides = dict(sides)
-        self._memo: dict[tuple, ReductionSequence] = {}
+        self._memo: dict[tuple, _Part] = {}
 
-    def run(self, f: Formula) -> _Triple:
-        d = self._rec(f)
-        return d.delta1, d.delta2, d.beta
+    def run(self, f: Formula) -> tuple[tuple[Formula, ...],
+                                       tuple[Formula, ...], PropFormula]:
+        delta1: list[Formula] = []
+        delta2: list[Formula] = []
+        beta = _place(self._rec(f), delta1, delta2)
+        return tuple(delta1), tuple(delta2), beta
 
-    def _rec(self, f: Formula) -> ReductionSequence:
+    def _rec(self, f: Formula) -> _Part:
         key = (f, tuple(self.sides[v] for v in free_variables(f)))
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = self._build(f)
         return hit
 
-    def _mk(self, delta1, delta2, beta) -> ReductionSequence:
-        # partition/vocab are irrelevant during recursion; patched at the top.
-        return ReductionSequence(tuple(delta1), tuple(delta2), beta,
-                                 VarPartition((), ()), Vocabulary({}))
-
-    def _build(self, f: Formula) -> ReductionSequence:
+    def _build(self, f: Formula) -> _Part:
         if isinstance(f, Top):
-            return self._mk((), (), P_TOP)
+            return P_TOP
         if isinstance(f, Bot):
-            return self._mk((), (), P_BOT)
+            return P_BOT
         if isinstance(f, Literal):
             return self._literal(f)
         if isinstance(f, (And, Or)):
+            ctor = PAnd if isinstance(f, And) else POr
             if is_quantifier_free(f):
-                return self._connective_qf(f)
-            return self._connective(f)
+                return ctor(tuple(self._rec(c) for c in f.children))
+            return self._connective(f, ctor)
         if isinstance(f, Exists):
             return self._quantifier(f, SIGMA)
         return self._quantifier(f, PI)
 
-    def _literal(self, f: Literal) -> ReductionSequence:
+    def _literal(self, f: Literal) -> _Part:
         if f.relation == MARK:
             on_left = self.sides[f.args[0]] == 1
-            return self._mk((), (), P_TOP if on_left == f.positive else P_BOT)
+            return P_TOP if on_left == f.positive else P_BOT
         arg_sides = {self.sides[a] for a in f.args}
         if len(arg_sides) == 2:
             # atoms never hold across the components; equality neither
-            return self._mk((), (), P_BOT if f.positive else P_TOP)
+            return P_BOT if f.positive else P_TOP
         if arg_sides == {1}:
-            return self._mk((f,), (TOP,),
-                            PAnd((PVar(0, 1), PVar(0, 2))))
-        return self._mk((TOP,), (f,), PAnd((PVar(0, 1), PVar(0, 2))))
+            return _Pairs(SIGMA, (f,), (TOP,))
+        return _Pairs(SIGMA, (TOP,), (f,))
 
-    def _connective_qf(self, f: Union[And, Or]) -> ReductionSequence:
-        parts = [self._rec(c) for c in f.children]
-        delta1, delta2, betas = self._concat(parts)
-        ctor = PAnd if isinstance(f, And) else POr
-        return self._mk(delta1, delta2, ctor(tuple(betas)))
-
-    def _connective(self, f: Union[And, Or]) -> ReductionSequence:
+    def _connective(self, f: Union[And, Or], ctor) -> _Pairs:
         # Conjunction at a quantified level: children renormalized to the
         # universal pair form, combined, then the Sigma form is restored
         # (dually for disjunction).
-        inner_mode = PI if isinstance(f, And) else SIGMA
-        parts = [normalize_pairs(self._rec(c), inner_mode) for c in f.children]
-        delta1, delta2, betas = self._concat(parts)
-        ctor = PAnd if isinstance(f, And) else POr
-        combined = self._mk(delta1, delta2, ctor(tuple(betas)))
-        out_mode = SIGMA if isinstance(f, And) else PI
-        return normalize_pairs(combined, out_mode)
+        inner_mode, out_mode = (PI, SIGMA) if ctor is PAnd else (SIGMA, PI)
+        parts = tuple(_normalize(self._rec(c), (), (), inner_mode)
+                      for c in f.children)
+        return _normalize(ctor(parts), (), (), out_mode)
 
-    def _concat(self, parts: list[ReductionSequence]):
-        delta1: list[Formula] = []
-        delta2: list[Formula] = []
-        betas: list[PropFormula] = []
-        for part in parts:
-            shift1, shift2 = len(delta1), len(delta2)
-            delta1.extend(part.delta1)
-            delta2.extend(part.delta2)
-            betas.append(_shift(part.beta, shift1, shift2))
-        return delta1, delta2, betas
-
-    def _quantifier(self, f: Union[Exists, Forall], mode: str) -> ReductionSequence:
+    def _quantifier(self, f: Union[Exists, Forall], mode: str) -> _Pairs:
         var, body = f.var, f.body
         views = []
         for side in (1, 2):
             self.sides[var] = side
-            views.append(normalize_pairs(self._rec(body), mode))
+            views.append(_normalize(self._rec(body), (), (), mode))
         del self.sides[var]
         kind = Exists if mode == SIGMA else Forall
-        delta1: list[Formula] = []
-        delta2: list[Formula] = []
-        for view, side in zip(views, (1, 2)):
-            for f1, f2 in zip(view.delta1, view.delta2):
-                delta1.append(kind(var, f1) if side == 1 else f1)
-                delta2.append(f2 if side == 1 else kind(var, f2))
-        return self._mk(delta1, delta2, _pair_beta(len(delta1), mode))
+        left, right = views
+        return _Pairs(mode,
+                      tuple(kind(var, g) for g in left.delta1) + right.delta1,
+                      left.delta2 + tuple(kind(var, g) for g in right.delta2))
 
 
-def _shift(p: PropFormula, by1: int, by2: int) -> PropFormula:
-    if isinstance(p, PVar):
-        return PVar(p.index + (by1 if p.side == 1 else by2), p.side)
-    if isinstance(p, (PTop, PBot)):
-        return p
-    return type(p)(tuple(_shift(c, by1, by2) for c in p.children))
+def _place(q: _Part, delta1: list[Formula],
+           delta2: list[Formula]) -> PropFormula:
+    """Append the factors of ``q`` to the lists and return its beta over
+    their indices there.  Every part has as many factors on each side, so
+    the two lists grow in step."""
+    if isinstance(q, _Pairs):
+        beta = _pair_beta(len(q.delta1), q.mode, len(delta1))
+        delta1.extend(q.delta1)
+        delta2.extend(q.delta2)
+        return beta
+    if isinstance(q, (PTop, PBot)):
+        return q
+    return type(q)(tuple(_place(c, delta1, delta2) for c in q.children))
 
 
 # ---------------------------------------------------------------------------

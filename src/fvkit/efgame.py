@@ -82,15 +82,23 @@ def prefix_game_winner(config: GameConfig, a: Structure,
     ``max_positions`` of them the call raises BudgetExceeded instead of
     running unbounded.
     """
+    return _prefix_game(config, a, a_tuple, b, b_tuple, max_positions)[0]
+
+
+def _prefix_game(config: GameConfig, a: Structure, a_tuple: tuple[str, ...],
+                 b: Structure, b_tuple: tuple[str, ...], max_positions: int,
+                 explored: int = 0) -> tuple[Player, int]:
+    """:func:`prefix_game_winner` with ``explored`` positions already
+    charged to the budget; returns the winner and the new count."""
     a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
     _check_position(a, a_tuple, b, b_tuple)
     if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
-        return Player.Spoiler  # every final position extends the start
+        # every final position extends the start
+        return Player.Spoiler, explored
     tables = [(arity, a.relations[name], b.relations[name])
               for name, arity in a.vocab.relations.items()]
     k = config.tuple_size
     memo: dict = {}
-    explored = 0
 
     def extends(pairs: frozenset, pair: tuple[str, str]) -> bool:
         # pairs is a partial isomorphism; test only the rows with the new pair
@@ -147,7 +155,7 @@ def prefix_game_winner(config: GameConfig, a: Structure,
         return result
 
     won = dup_wins(config.rounds, True, frozenset(zip(a_tuple, b_tuple)))
-    return Player.Duplicator if won else Player.Spoiler
+    return (Player.Duplicator if won else Player.Spoiler), explored
 
 
 def tree_prefix_game_winner(config: GameConfig, a: Structure,
@@ -155,9 +163,11 @@ def tree_prefix_game_winner(config: GameConfig, a: Structure,
                             b_tuple: tuple[str, ...],
                             max_positions: int = DEFAULT_POSITION_BUDGET) -> Player:
     """Solve the tree variant: Duplicator must win the prefix game from both
-    orders of the boards."""
-    first = prefix_game_winner(config, a, a_tuple, b, b_tuple, max_positions)
+    orders of the boards.  Both games draw on one budget of
+    ``max_positions``."""
+    first, explored = _prefix_game(config, a, a_tuple, b, b_tuple,
+                                   max_positions)
     if first is Player.Spoiler:
         return Player.Spoiler
-    second = prefix_game_winner(config, b, b_tuple, a, a_tuple, max_positions)
-    return second
+    return _prefix_game(config, b, b_tuple, a, a_tuple, max_positions,
+                        explored)[0]

@@ -81,6 +81,12 @@ class EnumerationCaps:
     max_classes: int = 200_000
 
 
+def _check_class_cap(count: int, limit: int) -> None:
+    if count > limit:
+        raise CapExceeded(f"class cap exceeded: {count} classes, "
+                          f"limit {limit} (inconclusive)")
+
+
 @dataclass(frozen=True)
 class SemanticClass:
     """A bed-semantic class: bit i is the truth value at row i; the
@@ -226,8 +232,7 @@ def _closure(classes: list[SemanticClass], ops: tuple[str, ...],
     ``caps.max_classes`` raises CapExceeded; nothing is truncated.
     """
     found = {c.bits: c for c in _dedupe(classes)}
-    if len(found) > caps.max_classes:
-        raise CapExceeded("class cap exceeded (inconclusive)")
+    _check_class_cap(len(found), caps.max_classes)
     for op in ops:
         if op == "and":
             combine, make, largest_first = int.__and__, _conjoin, True
@@ -252,8 +257,7 @@ def _closure(classes: list[SemanticClass], ops: tuple[str, ...],
                 if bits not in found:
                     found[bits] = SemanticClass(bits, make(
                         found[c].representative, g.representative))
-                    if len(found) > caps.max_classes:
-                        raise CapExceeded("class cap exceeded (inconclusive)")
+                    _check_class_cap(len(found), caps.max_classes)
     return list(found.values())
 
 
@@ -421,7 +425,8 @@ def _combos(classes: list[SemanticClass], op: str, width: int,
             budget: SeparatorBudget) -> list[SemanticClass]:
     total = sum(math.comb(len(classes), w) for w in range(1, width + 1))
     if total > budget.max_work:
-        raise CapExceeded("separator width stage exceeds the work budget")
+        raise CapExceeded("separator width stage exceeds the work budget: "
+                          f"{total} combinations, limit {budget.max_work}")
     out: list[SemanticClass] = []
     seen: set[int] = set()
     for w in range(1, width + 1):
@@ -442,8 +447,7 @@ def _combos(classes: list[SemanticClass], op: str, width: int,
                 rep = (_conjoin if op == "and" else _disjoin)(
                     rep, c.representative)
             out.append(SemanticClass(bits, rep))
-            if len(out) > budget.max_classes:
-                raise CapExceeded("class cap exceeded (inconclusive)")
+            _check_class_cap(len(out), budget.max_classes)
     return out
 
 
@@ -527,6 +531,5 @@ def _rank_classes(mode: str, n: int, m: int, bed: TestBed,
         for c in projected:
             if c.bits not in merged:
                 merged[c.bits] = c
-        if len(merged) > caps.max_classes:
-            raise CapExceeded("class cap exceeded (inconclusive)")
+        _check_class_cap(len(merged), caps.max_classes)
     return list(merged.values())

@@ -70,11 +70,18 @@ def structure_to_json(s: Structure) -> dict:
     }
 
 
+_STRUCTURE_KEYS = ("vocabulary", "universe", "relations")
+
+
 def structure_from_json(data: dict) -> Structure:
     """Inverse of :func:`structure_to_json`; relations omitted from the JSON
-    are taken to be empty."""
+    are taken to be empty, and a key other than the three it writes is an
+    error."""
     if not isinstance(data, dict):
         raise ValidationError("structure JSON must be an object")
+    unknown = [key for key in data if key not in _STRUCTURE_KEYS]
+    if unknown:
+        raise ValidationError(f"unknown structure JSON keys: {unknown}")
     for field_name in ("vocabulary", "universe"):
         if field_name not in data:
             raise ValidationError(f"structure JSON lacks {field_name!r}")

@@ -163,6 +163,17 @@ def test_eval_rejects_string_universe(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_eval_rejects_unknown_structure_key(tmp_path, capsys):
+    # a misspelt "relations" would otherwise load as a board with no rows
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"vocabulary": {"U": 1}, "universe": ["a"],
+                                "relation": {"U": [["a"]]}}))
+    assert run(["eval", "--structure", str(path),
+                "--formula", "(exists (z) (U z))"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--formula",
      "(exists (x) " * 1500 + "(E x x)" + ")" * 1500, "--vocab", '{"E": 2}'],

@@ -1,14 +1,16 @@
 """Decomposition engine: pinned construction cases, pair normal form,
 evaluation, simplification, and the correctness property itself."""
 
+import hashlib
 import importlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (MARK, PAnd, PBot, POr, PTop, PVar, P_BOT,
-                   P_TOP, ReductionSequence, SIGMA, Structure,
+from fvkit import (MARK, Bot, PAnd, PBot, POr, PTop, PVar, P_BOT,
+                   P_TOP, ReductionSequence, SIGMA, Structure, Top,
                    ValidationError, VarPartition, Vocabulary,
                    annotated_disjoint_union, builtin, classify, decompose,
                    decompose_over_op, evaluate, eval_reduction,
@@ -293,3 +295,218 @@ def test_factor_agreement_determines_verdict():
                tuple(evaluate(b, g, {}) for g in d.delta2))
         verdict = eval_reduction(d, a, b)
         assert buckets.setdefault(key, verdict) == verdict
+
+
+# ---------------------------------------------------------------------------
+# The bitmask distribution kernel against the previous frozenset kernel
+
+DECOMPOSE = importlib.import_module("fvkit.decompose")
+
+
+def reference_prune(blocks):
+    if len(blocks) < 2:
+        return blocks
+    sets = [(frozenset(l), frozenset(r)) for l, r in blocks]
+    out = []
+    for i, (li, ri) in enumerate(sets):
+        dominated = False
+        for j, (lj, rj) in enumerate(sets):
+            if j == i:
+                continue
+            if lj <= li and rj <= ri and ((lj, rj) != (li, ri) or j < i):
+                dominated = True
+                break
+        if not dominated:
+            out.append(blocks[i])
+    return out
+
+
+def reference_distribute(p, delta1, delta2, mode):
+    conj = mode == SIGMA
+    neutral_t = Top if conj else Bot
+    absorb_t = Bot if conj else Top
+
+    def add(state, var):
+        g = (delta1 if var.side == 1 else delta2)[var.index]
+        if isinstance(g, neutral_t):
+            return state
+        if isinstance(g, absorb_t):
+            return None
+        left, right = state
+        if var.side == 1:
+            return state if g in left else (left + (g,), right)
+        return state if g in right else (left, right + (g,))
+
+    def combine(s, t):
+        left = list(s[0])
+        right = list(s[1])
+        left.extend(g for g in t[0] if g not in left)
+        right.extend(g for g in t[1] if g not in right)
+        return tuple(left), tuple(right)
+
+    unit_t = PTop if conj else PBot
+    void_t = PBot if conj else PTop
+    spread_t = POr if conj else PAnd
+    empty = ((), ())
+
+    def rec(q):
+        if isinstance(q, PVar):
+            st = add(empty, q)
+            return [st] if st is not None else []
+        if isinstance(q, unit_t):
+            return [empty]
+        if isinstance(q, void_t):
+            return []
+        if isinstance(q, spread_t):
+            seen = {}
+            for c in q.children:
+                for st in rec(c):
+                    seen.setdefault(st)
+            return reference_prune(list(seen))
+        acc = [empty]
+        for c in q.children:
+            parts = rec(c)
+            nxt = {}
+            for s in acc:
+                for t in parts:
+                    nxt.setdefault(combine(s, t))
+            acc = reference_prune(list(nxt))
+            if not acc:
+                break
+        return acc
+
+    seen = {}
+    for st in rec(p):
+        seen.setdefault(st)
+    return reference_prune(list(seen))
+
+
+def reference_normalize_pairs(d, mode):
+    blocks = reference_distribute(d.beta, d.delta1, d.delta2, mode)
+    delta1 = tuple(DECOMPOSE._build_factor(left, mode) for left, _ in blocks)
+    delta2 = tuple(DECOMPOSE._build_factor(right, mode) for _, right in blocks)
+    return ReductionSequence(delta1, delta2,
+                             DECOMPOSE._pair_beta(len(blocks), mode),
+                             d.partition, d.vocab)
+
+
+# Factor pool: the constants, then formulas that turn up on both sides.
+POOL = tuple(parse_formula(t, VE) for t in (
+    "true", "false", "(E x x)", "(not (E x x))", "(E x y)", "(E y x)",
+    "(not (E x y))", "(E y y)", "(exists (z) (E z z))",
+    "(forall (z) (E z x))", "(exists (z) (E x z))", "(forall (z) (E z z))"))
+
+
+def random_bank(rng):
+    return tuple(rng.choice(POOL[:2] if rng.random() < 0.1 else POOL[2:])
+                 for _ in range(rng.randint(1, 8)))
+
+
+def random_prop(rng, delta1, delta2, depth, is_and):
+    """A tree of alternating junctions over factor variables, with a few
+    constants, empty junctions and children repeated in reverse order."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        if roll < 0.02:
+            return rng.choice((P_TOP, P_BOT))
+        side = rng.choice((1, 2))
+        return PVar(rng.randrange(len(delta1 if side == 1 else delta2)), side)
+    children = tuple(random_prop(rng, delta1, delta2, depth - 1, not is_and)
+                     for _ in range(rng.choice((0, 1, 2, 3, 3, 4, 4, 5))))
+    if children and rng.random() < 0.2:
+        # the same picks again, in the reverse order
+        children += (type(children[0])(children[0].children[::-1])
+                     if isinstance(children[0], (PAnd, POr)) else children[0],)
+    return (PAnd if is_and else POr)(children)
+
+
+def test_distribute_matches_reference():
+    import random
+    rng = random.Random(5)
+    part = VarPartition(("x",), ("y",))
+    for _ in range(400):
+        delta1, delta2 = random_bank(rng), random_bank(rng)
+        if rng.random() < 0.3:
+            delta2 = delta1   # the same formulas on both sides
+        p = random_prop(rng, delta1, delta2, rng.randint(2, 4),
+                        rng.random() < 0.5)
+        d = ReductionSequence(delta1, delta2, p, part, VE)
+        for mode in ("sigma", "pi"):
+            assert DECOMPOSE._distribute(p, delta1, delta2, mode) == \
+                reference_distribute(p, delta1, delta2, mode)
+            assert normalize_pairs(d, mode) == \
+                reference_normalize_pairs(d, mode)
+
+
+def test_distribute_over_pair_lists_matches_reference():
+    # The engine hands _distribute pair lists in place of their pair-form
+    # beta; laid out into factor lists they must give the same blocks.
+    import random
+    rng = random.Random(11)
+    for _ in range(300):
+        parts = tuple(
+            DECOMPOSE._Pairs(rng.choice(("sigma", "pi")),
+                             *zip(*[(rng.choice(POOL), rng.choice(POOL))
+                                    for _ in range(rng.randint(1, 3))]))
+            for _ in range(rng.randint(1, 3)))
+        q = rng.choice((PAnd, POr))(parts) if len(parts) > 1 else parts[0]
+        delta1, delta2 = [], []
+        beta = DECOMPOSE._place(q, delta1, delta2)
+        for mode in ("sigma", "pi"):
+            assert DECOMPOSE._distribute(q, (), (), mode) == \
+                reference_distribute(beta, tuple(delta1), tuple(delta2), mode)
+
+
+def reductions_digest(reductions):
+    h = hashlib.sha256()
+    for d in reductions:
+        h.update(json.dumps(reduction_to_json(d), sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# sha256 of the reductions' JSON lines, plain and through simplify_reduction,
+# as the frozenset kernel produced them.
+SUITE_DIGESTS = {
+    "marked-union": (
+        "4bfb629ebc62fcbef1b93ee2d874ee8b0a9d364cd31f589debfdc123b1c21694",
+        "ef6ac0150090a968daaae646c0aedd845a33a12ba2537cc145ea86a31464686f"),
+    "disjoint-union": (
+        "936ae86582e415e670a2eb9f1f3c6bad3a2cd3d2bb6cff0fbac4c3506514573d",
+        "e39843c73c55661d1d385305bcdcf35c6fb6a173afdb661088fe1002d972bca3"),
+    "ordered-sum": (
+        "34434f9ae5bb82bd712fdffd22025b021ac47f1ac3c353e8d7bc0a29ece82160",
+        "8648b644dd49277abb5a137199fc9884cf8b7502c758ec40b98f90c3c345917c"),
+    "join": (
+        "4b5cd203a5fddc6dd5bfa9e4253e7e9a1e6359728d98ac5d22bcfd9f8b7baefa",
+        "4ca4f4f123b746e1b653b1b675a52b20ede8a0f88c3083303c0d8c3ef7bbf53a"),
+    "nlc-sum": (
+        "6eaddc928c7f481907fdd22f8ea64c517cb7deb1d79ff7d5eb4dc7c79032e0f6",
+        "ae4f99aca862e0d8ec71b47a3ab6fdbdb7389c90d48544776eb019bc56a43b4b"),
+}
+
+
+@pytest.mark.parametrize("name", list(SUITE_DIGESTS))
+def test_suite_reductions_pinned(name):
+    from test_acceptance import formula_suite, sum_like_ops
+    if name == "marked-union":
+        ds = [decompose(f, part) for _, _, f, part in formula_suite(VE)]
+    else:
+        op = {op_name: op for op_name, op, _ in sum_like_ops()}[name]
+        ds = [decompose_over_op(f, op, part) for _, _, f, part
+              in formula_suite(op.interp.target_vocab)]
+    assert (reductions_digest(ds),
+            reductions_digest(simplify_reduction(d) for d in ds)) == \
+        SUITE_DIGESTS[name]
+
+
+def test_heavy_reduction_pinned():
+    # A decompose-ladder-shaped draw (join, sigma, n = m = 3, size 36) with
+    # 2,080 factor pairs; the frozenset kernel took over 3 s on it.
+    op = builtin("join")
+    f = random_formula("sigma", n=3, m=3, vocab=op.interp.target_vocab,
+                       free_vars=("v1", "v2"), seed=913070797)
+    d = decompose_over_op(f, op, VarPartition(("v1",), ("v2",)))
+    assert len(d.delta1) == 2080
+    assert reductions_digest([d]) == \
+        "db12395956d4f45a14164e7353bb0fa84cb25d94d6f3576a50623054c33b8bb6"

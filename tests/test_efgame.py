@@ -100,6 +100,21 @@ def test_position_budget():
                            max_positions=50)
 
 
+def test_tree_game_shares_one_budget():
+    # Chains 5/5 at n = 3, k = 1: each orientation explores 74 positions.
+    config = GameConfig(3, 1)
+    other = linear_order(5, prefix="b")
+    for a, b in ((L5, other), (other, L5)):
+        assert prefix_game_winner(config, a, (), b, (),
+                                  max_positions=74) is Player.Duplicator
+    assert tree_prefix_game_winner(config, L5, (), other, (),
+                                   max_positions=148) is Player.Duplicator
+    with pytest.raises(BudgetExceeded,
+                       match="148 positions explored, limit 147$"):
+        tree_prefix_game_winner(config, L5, (), other, (),
+                                max_positions=147)
+
+
 def test_matches_reference_on_pointed_unary_boards():
     boards = all_structures(VU, 2)
     pointed = [(s, ()) for s in boards] + \

@@ -108,8 +108,13 @@ def test_sigma_levels_monotone():
 
 def test_enumeration_caps():
     bed = TestBed(tuple(all_structures(VE, 2)), ("x", "y"))
-    with pytest.raises(CapExceeded):
+    # the seeds alone pass the cap, then the closure's running count does
+    with pytest.raises(CapExceeded, match=r"^class cap exceeded: 46 classes, "
+                       r"limit 5 \(inconclusive\)$"):
         enumerate_classes("sigma", 1, 2, bed, EnumerationCaps(max_classes=5))
+    with pytest.raises(CapExceeded, match=r"^class cap exceeded: 101 classes, "
+                       r"limit 100 \(inconclusive\)$"):
+        enumerate_classes("sigma", 1, 2, bed, EnumerationCaps(max_classes=100))
 
 
 def test_transfer_oracle_examples():
@@ -169,6 +174,16 @@ def test_find_separator_budget():
     tiny = SeparatorBudget(max_width=1, max_classes=3)
     assert find_separator(2, 2, linear_order(3),
                           linear_order(2, prefix="b"), tiny) is None
+    # find_separator treats both caps as the end of its search; the width
+    # stage itself says how far it got
+    classes = enumerate_classes("sigma", 0, 1, u_bed())
+    assert len(classes) == 4
+    with pytest.raises(CapExceeded, match="^separator width stage exceeds "
+                       "the work budget: 10 combinations, limit 3$"):
+        enumeration._combos(classes, "and", 2, SeparatorBudget(max_work=3))
+    with pytest.raises(CapExceeded, match=r"^class cap exceeded: 4 classes, "
+                       r"limit 3 \(inconclusive\)$"):
+        enumeration._combos(classes, "and", 2, SeparatorBudget(max_classes=3))
 
 
 def test_count_bound_check_cells():

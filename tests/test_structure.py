@@ -130,3 +130,11 @@ def test_json_loader_rejects_strings_for_lists(universe, relations):
     with pytest.raises(ValidationError):
         structure_from_json({"vocabulary": {"U": 1}, "universe": universe,
                              "relations": relations})
+
+
+def test_json_loader_rejects_unknown_keys():
+    good = {"vocabulary": {"U": 1}, "universe": ["a"], "relations": {}}
+    assert structure_from_json(good).universe == ("a",)
+    for extra in ({"relation": {"U": [["a"]]}}, {"name": "board"}):
+        with pytest.raises(ValidationError, match="unknown structure JSON"):
+            structure_from_json({**good, **extra})
