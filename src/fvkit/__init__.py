@@ -18,8 +18,7 @@ from .structure import (MARK, Structure, annotated_disjoint_union,
                         is_partial_isomorphism, load_structure,
                         save_structure, structure_from_json,
                         structure_to_json)
-from .modelcheck import (EvalCache, assignment_from_json, assignment_to_json,
-                         evaluate)
+from .modelcheck import assignment_from_json, assignment_to_json, evaluate
 from .interp import (Interpretation, SumLikeOp, apply_interpretation,
                      apply_sum_like, builtin, interpretation_from_json,
                      interpretation_to_json, load_interpretation,
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "And", "Bot", "BudgetExceeded", "BOT", "CapExceeded", "Classification",
-    "EnumerationCaps", "EvalCache", "Exists", "Forall",
+    "EnumerationCaps", "Exists", "Forall",
     "Formula", "FvError", "GameConfig", "Interpretation", "Literal", "MARK",
     "Or", "PAnd", "PBot", "POr", "PTop", "PVar", "P_BOT", "P_TOP",
     "ParseError", "PI", "Player", "PropFormula", "ReductionSequence",

@@ -2,7 +2,7 @@
 
 Subcommands tie the library into reproducible shell commands: classify,
 decompose, transform, eval, check-decomposition, game, enumerate,
-count-check, bench.  Exit codes: 0 success / property holds, 1 property
+count-check.  Exit codes: 0 success / property holds, 1 property
 violation (counterexample printed as JSON), 2 usage or input error, 3 cap or
 budget exceeded (inconclusive).  All randomized commands are seeded and every
 iteration order is fixed, so identical invocations produce identical bytes.
@@ -11,24 +11,20 @@ iteration order is fixed, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
 import sys
-import time
 
 from .decompose import (VarPartition, decompose, decompose_over_op,
-                        eval_reduction, reduction_stats, reduction_to_json,
-                        simplify_reduction)
+                        eval_reduction, reduction_to_json, simplify_reduction)
 from .efgame import GameConfig, prefix_game_winner, tree_prefix_game_winner
 from .enumeration import (EnumerationCaps, TestBed, count_bound_check,
                           enumerate_classes)
 from .errors import BudgetExceeded, CapExceeded, FvError, ParseError, \
     ValidationError
-from .formula import (Vocabulary, classify, formula_size, free_variables,
-                      parse_formula, print_formula, random_formula,
-                      vocabulary_from_json)
+from .formula import (Vocabulary, classify, free_variables, parse_formula,
+                      print_formula, random_formula, vocabulary_from_json)
 from .interp import (SumLikeOp, apply_sum_like, builtin, load_interpretation,
                      transform_formula)
 from .modelcheck import assignment_from_json, evaluate
@@ -307,28 +303,6 @@ def _cmd_check_decomposition(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    op = _resolve_op(args.op)
-    vocab = op.interp.target_vocab
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "m", "phi_size", "decomp_size", "millis"])
-    for mode in ("sigma", "pi"):
-        for n in range(args.max_n + 1):
-            for m in range(n, args.max_m + 1):
-                for trial in range(args.trials):
-                    f = random_formula(mode, n, m, vocab,
-                                       free_vars=("v1", "v2"),
-                                       seed=args.seed + trial)
-                    partition = VarPartition(("v1",), ("v2",))
-                    start = time.perf_counter()
-                    d = decompose_over_op(f, op, partition)
-                    millis = (time.perf_counter() - start) * 1000.0
-                    writer.writerow([n, m, formula_size(f),
-                                     reduction_stats(d)["total_size"],
-                                     f"{millis:.3f}"])
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser and dispatch
 
@@ -412,15 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structures", required=True)
     p.add_argument("--max-classes", type=int, default=200_000)
     p.set_defaults(func=_cmd_count_check)
-
-    p = sub.add_parser("bench",
-                       help="CSV of reduction statistics over random inputs")
-    p.add_argument("--op", default="disjoint-union")
-    p.add_argument("--max-n", type=int, default=2)
-    p.add_argument("--max-m", type=int, default=3)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -38,7 +38,7 @@ from .formula import (And, Bot, Exists, Forall, Formula, Literal, Or, Top,
                       free_variables, is_quantifier_free, parse_formula,
                       print_formula)
 from .interp import SumLikeOp, transform_formula
-from .modelcheck import EvalCache
+from .modelcheck import DEFAULT_ATOM_BUDGET, _check_assignment, _eval
 from .structure import MARK, Structure
 
 # Observed growth factor: for a formula of quantifier depth n and size s the
@@ -186,14 +186,15 @@ class ReductionSequence:
 
 
 def reduction_stats(d: ReductionSequence) -> dict:
+    beta_size = prop_size(d.beta)
     total = (sum(formula_size(f) for f in d.delta1)
              + sum(formula_size(f) for f in d.delta2)
-             + prop_size(d.beta))
+             + beta_size)
     return {
         "total_size": total,
         "factor_count_1": len(d.delta1),
         "factor_count_2": len(d.delta2),
-        "beta_size": prop_size(d.beta),
+        "beta_size": beta_size,
     }
 
 
@@ -575,24 +576,25 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
 
     The factor truth values are computed by model checking each factor on its
     component under the partition's share of the tuples, then beta decides.
+    Every tuple element must lie in its component's universe.  Each side has
+    one budget of ``DEFAULT_ATOM_BUDGET`` atom checks for the whole call;
+    past it the call raises BudgetExceeded.  Factor values are not kept, so
+    a beta that names a factor twice checks it twice.
     """
     if len(a_tuple) != len(d.partition.left) or len(b_tuple) != len(d.partition.right):
         raise ValidationError("tuple lengths do not match the partition")
     asg1 = dict(zip(d.partition.left, a_tuple))
     asg2 = dict(zip(d.partition.right, b_tuple))
-    cache1, cache2 = EvalCache(a), EvalCache(b)
-    memo: dict[tuple[int, int], bool] = {}
+    _check_assignment(a, d.partition.left, asg1)
+    _check_assignment(b, d.partition.right, asg2)
+    sides = {1: (a, d.delta1, asg1, [DEFAULT_ATOM_BUDGET] * 2),
+             2: (b, d.delta2, asg2, [DEFAULT_ATOM_BUDGET] * 2)}
 
     # factors are checked on demand so that beta's short-circuiting carries
     # over to the (potentially much larger) factor lists
     def zeta(i: int, s: int) -> bool:
-        key = (i, s)
-        if key not in memo:
-            g = (d.delta1 if s == 1 else d.delta2)[i]
-            asg = asg1 if s == 1 else asg2
-            cache = cache1 if s == 1 else cache2
-            memo[key] = cache.evaluate(g, {v: asg[v] for v in free_variables(g)})
-        return memo[key]
+        structure, bank, asg, budget = sides[s]
+        return _eval(structure, bank[i], asg, budget)
 
     return eval_prop(d.beta, zeta)
 

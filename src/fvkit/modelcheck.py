@@ -23,9 +23,10 @@ def assignment_to_json(asg: dict[str, str]) -> dict:
     return dict(asg)
 
 
-def _check_assignment(structure: Structure, f: Formula, asg: dict[str, str]) -> None:
+def _check_assignment(structure: Structure, variables: tuple[str, ...],
+                      asg: dict[str, str]) -> None:
     elems = set(structure.universe)
-    for var in free_variables(f):
+    for var in variables:
         if var not in asg:
             raise ValidationError(f"assignment misses free variable {var!r}")
         if asg[var] not in elems:
@@ -42,7 +43,7 @@ def evaluate(structure: Structure, f: Formula, asg: dict[str, str],
     deterministic; past ``max_atom_checks`` the call raises BudgetExceeded
     rather than running unbounded.
     """
-    _check_assignment(structure, f, asg)
+    _check_assignment(structure, free_variables(f), asg)
     budget = [max_atom_checks, max_atom_checks]
     return _eval(structure, f, dict(asg), budget)
 
@@ -96,54 +97,3 @@ def _restore(asg: dict[str, str], var: str, saved: Optional[str]) -> None:
         asg.pop(var, None)
     else:
         asg[var] = saved
-
-
-class EvalCache:
-    """Memoizing evaluator for one structure.
-
-    Decomposition output repeats subformulas heavily; keying results on
-    (subformula, assignment restricted to its free variables) turns the
-    repeated factor checks into dictionary hits.  Formulas compare
-    structurally and hash once, so equal subformulas share entries however
-    they were built.  Agrees with :func:`evaluate` on every input.
-    """
-
-    def __init__(self, structure: Structure,
-                 max_atom_checks: int = DEFAULT_ATOM_BUDGET):
-        self.structure = structure
-        self._budget = [max_atom_checks, max_atom_checks]
-        self._memo: dict[tuple, bool] = {}
-
-    def evaluate(self, f: Formula, asg: dict[str, str]) -> bool:
-        key = (f, tuple(asg[v] for v in free_variables(f)))
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = self._run(f, dict(asg))
-        return hit
-
-    def _run(self, f: Formula, asg: dict[str, str]) -> bool:
-        if isinstance(f, (Top, Bot, Literal)):
-            return _eval(self.structure, f, asg, self._budget)
-        if isinstance(f, And):
-            return all(self.evaluate(c, _project(asg, free_variables(c)))
-                       for c in f.children)
-        if isinstance(f, Or):
-            return any(self.evaluate(c, _project(asg, free_variables(c)))
-                       for c in f.children)
-        if isinstance(f, Exists):
-            return any(self._bind(f.body, asg, f.var, e)
-                       for e in self.structure.universe)
-        if isinstance(f, Forall):
-            return all(self._bind(f.body, asg, f.var, e)
-                       for e in self.structure.universe)
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _bind(self, body: Formula, asg: dict[str, str], var: str, elem: str) -> bool:
-        inner = _project(asg, free_variables(body))
-        inner[var] = elem
-        return self.evaluate(body, inner)
-
-
-def _project(asg: dict[str, str], fv: tuple[str, ...]) -> dict[str, str]:
-    return {v: asg[v] for v in fv if v in asg}
-

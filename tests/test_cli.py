@@ -129,17 +129,6 @@ def test_check_decomposition(files, capsys):
                 "--seed", "3"]) == 0
 
 
-def test_bench(capsys):
-    assert run(["bench", "--max-n", "1", "--max-m", "1", "--trials", "1"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].split(",") == ["n", "m", "phi_size", "decomp_size",
-                                   "millis"]
-    for line in lines[1:]:
-        n, m, phi_size, decomp_size, millis = line.split(",")
-        assert int(phi_size) > 0 and int(decomp_size) > 0
-        float(millis)
-
-
 def test_usage_errors(files, capsys):
     assert run(["eval", "--structure", "nosuch.json",
                 "--formula", "true"]) == 2

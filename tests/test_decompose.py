@@ -9,11 +9,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (MARK, Bot, PAnd, PBot, POr, PTop, PVar, P_BOT,
-                   P_TOP, ReductionSequence, SIGMA, Structure, Top,
+from fvkit import (MARK, Bot, BudgetExceeded, PAnd, PBot, POr, PTop, PVar,
+                   P_BOT, P_TOP, ReductionSequence, SIGMA, Structure, Top,
                    ValidationError, VarPartition, Vocabulary,
                    annotated_disjoint_union, builtin, classify, decompose,
-                   decompose_over_op, evaluate, eval_reduction,
+                   decompose_over_op, evaluate, eval_prop, eval_reduction,
                    free_variables, normalize_pairs, parse_formula,
                    print_formula, prop_to_json, quantifier_rank,
                    random_formula, reduction_from_json, reduction_stats,
@@ -96,6 +96,68 @@ def test_eval_reduction_validates_tuples():
     d = decompose(parse_formula("(E x y)", VE), VarPartition(("x",), ("y",)))
     with pytest.raises(ValidationError):
         eval_reduction(d, LOOP, EDGELESS)  # missing tuple components
+    # an element outside its component's universe is refused whatever the
+    # factors would answer: here beta is false and reads no factor
+    with pytest.raises(ValidationError, match="unknown element 'a'"):
+        eval_reduction(d, LOOP, EDGELESS, ("a",), ("a",))
+    for text in ("(E x x)", "(not (E x x))"):
+        f = parse_formula(text, VE)
+        left = decompose(f, VarPartition(("x",), ()))
+        with pytest.raises(ValidationError, match="unknown element 'nope'"):
+            eval_reduction(left, LOOP, LOOP, ("nope",), ())
+        right = decompose(f, VarPartition((), ("x",)))
+        with pytest.raises(ValidationError, match="unknown element 'nope'"):
+            eval_reduction(right, LOOP, LOOP, (), ("nope",))
+
+
+def test_eval_reduction_on_loaded_betas():
+    # decompose never repeats a factor in beta nor leaves constants in it;
+    # a loaded reduction may do both and must still be evaluated exactly.
+    # Factor (0, 1) rebinds the free x, which factor (1, 1) then reads.
+    x0, x1 = {"var": [0, 1]}, {"var": [1, 1]}
+    y0, y1 = {"var": [0, 2]}, {"var": [1, 2]}
+    yes, no = {"const": True}, {"const": False}
+    betas = [
+        {"or": [{"and": [x0, y0]}, {"and": [x0, y1]}, no]},
+        {"and": [{"or": [x0, no]}, {"or": [x1, x0, y0]}, yes, x1]},
+        {"and": [{"or": [y0, y1]}, {"or": [y1, y0]}, {"or": [x1, y0, x1]}]},
+        {"or": [no, {"and": [yes, x1, x1]}]},
+    ]
+    for beta in betas:
+        d = reduction_from_json({
+            "delta1": ["(exists (x) (forall (z) (E x z)))", "(E x x)"],
+            "delta2": ["(E y y)", "(forall (z) (or (E z y) (= z y)))"],
+            "beta": beta,
+            "partition": {"left": ["x"], "right": ["y"]},
+            "vocabulary": {"E": 2}})
+        for a, b in itertools.product(all_structures(VE, 2), repeat=2):
+            for ea, eb in itertools.product(a.universe, b.universe):
+                def zeta(i, s):
+                    if s == 1:
+                        return evaluate(a, d.delta1[i], {"x": ea})
+                    return evaluate(b, d.delta2[i], {"y": eb})
+                assert eval_reduction(d, a, b, (ea,), (eb,)) == \
+                    eval_prop(d.beta, zeta)
+
+
+def test_eval_reduction_budget_per_side(monkeypatch):
+    # each factor makes 64 atom checks on an edgeless 8-element structure;
+    # a side's budget covers all of its factors in one call
+    monkeypatch.setattr(importlib.import_module("fvkit.decompose"),
+                        "DEFAULT_ATOM_BUDGET", 100)
+    empty = Structure(VE, tuple(str(i) for i in range(8)), {"E": frozenset()})
+    factor = "(forall (u v) (not (E u v)))"
+
+    def reduction(beta):
+        return reduction_from_json({
+            "delta1": [factor, factor], "delta2": [factor], "beta": beta,
+            "partition": {"left": [], "right": []}, "vocabulary": {"E": 2}})
+
+    one_each = reduction({"and": [{"var": [0, 1]}, {"var": [0, 2]}]})
+    assert eval_reduction(one_each, empty, empty) is True
+    two_left = reduction({"and": [{"var": [0, 1]}, {"var": [1, 1]}]})
+    with pytest.raises(BudgetExceeded, match="101 atom checks, limit 100$"):
+        eval_reduction(two_left, empty, empty)
 
 
 def test_normalize_pairs_four_pair_example():

@@ -1,10 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from fvkit import (BudgetExceeded, EvalCache, Structure, ValidationError,
-                   Vocabulary, assignment_from_json, assignment_to_json,
-                   evaluate, free_variables, negate_dual, parse_formula,
-                   random_formula)
+from fvkit import (BudgetExceeded, Structure, ValidationError, Vocabulary,
+                   assignment_from_json, assignment_to_json, evaluate,
+                   free_variables, negate_dual, parse_formula, random_formula)
 
 VE = Vocabulary({"E": 2})
 VU = Vocabulary({"U": 1})
@@ -51,10 +50,6 @@ def test_eval_work_cap():
     with pytest.raises(BudgetExceeded,
                        match="10001 atom checks, limit 10000$"):
         evaluate(big, deep, {}, max_atom_checks=10_000)
-    # the cache checks each (a, b) once: 144 atoms
-    cache = EvalCache(big, max_atom_checks=100)
-    with pytest.raises(BudgetExceeded, match="101 atom checks, limit 100$"):
-        cache.evaluate(deep, {})
 
 
 @st.composite
@@ -89,16 +84,6 @@ def test_isomorphism_invariance(item):
         asg = {v: e for v in free_variables(f)}
         asg2 = {v: renames[e] for v in free_variables(f)}
         assert evaluate(s, f, asg) == evaluate(t, f, asg2)
-
-
-@given(formula_and_structure())
-@settings(max_examples=60)
-def test_eval_cache_agrees_with_evaluate(item):
-    f, s = item
-    cache = EvalCache(s)
-    for e in s.universe:
-        asg = {v: e for v in free_variables(f)}
-        assert cache.evaluate(f, asg) == evaluate(s, f, asg)
 
 
 def test_assignment_json_round_trip():
