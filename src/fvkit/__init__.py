@@ -30,11 +30,10 @@ from .decompose import (PAnd, PBot, POr, PTop, PVar, P_BOT, P_TOP,
                         prop_size, prop_to_json, prop_vars,
                         reduction_from_json, reduction_stats,
                         reduction_to_json, simplify_reduction)
-from .efgame import (GameConfig, Player, prefix_game_winner,
+from .efgame import (GameConfig, Player, find_separator, prefix_game_winner,
                      tree_prefix_game_winner)
-from .enumeration import (EnumerationCaps, PI, SIGMA, SemanticClass,
-                          SeparatorBudget, TestBed, count_bound_check,
-                          enumerate_classes, find_separator, tower,
+from .enumeration import (EnumerationCaps, PI, SIGMA, SemanticClass, TestBed,
+                          count_bound_check, enumerate_classes, tower,
                           transfer_oracle)
 from .cli import run
 
@@ -46,7 +45,7 @@ __all__ = [
     "Formula", "FvError", "GameConfig", "Interpretation", "Literal", "MARK",
     "Or", "PAnd", "PBot", "POr", "PTop", "PVar", "P_BOT", "P_TOP",
     "ParseError", "PI", "Player", "PropFormula", "ReductionSequence",
-    "SIGMA", "SemanticClass", "SeparatorBudget", "Structure", "SumLikeOp",
+    "SIGMA", "SemanticClass", "Structure", "SumLikeOp",
     "TOP", "TestBed", "Top", "ValidationError", "VarPartition",
     "Vocabulary", "alpha_normalize", "annotated_disjoint_union",
     "apply_interpretation", "apply_sum_like", "assignment_from_json",

@@ -211,8 +211,10 @@ def reduction_to_json(d: ReductionSequence) -> dict:
 
 
 def reduction_from_json(data: dict) -> ReductionSequence:
+    """Inverse of :func:`reduction_to_json`.  Each factor's free variables
+    must lie on its side of the partition."""
     vocab = Vocabulary(dict(data["vocabulary"]))
-    return ReductionSequence(
+    d = ReductionSequence(
         delta1=tuple(parse_formula(t, vocab) for t in data["delta1"]),
         delta2=tuple(parse_formula(t, vocab) for t in data["delta2"]),
         beta=prop_from_json(data["beta"]),
@@ -220,6 +222,15 @@ def reduction_from_json(data: dict) -> ReductionSequence:
                                tuple(data["partition"]["right"])),
         vocab=vocab,
     )
+    for bank, factors, side in (("delta1", d.delta1, d.partition.left),
+                                ("delta2", d.delta2, d.partition.right)):
+        for i, f in enumerate(factors):
+            for v in free_variables(f):
+                if v not in side:
+                    raise ValidationError(
+                        f"{bank} factor {i} {print_formula(f)!r} has free "
+                        f"variable {v!r} outside its side {list(side)}")
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ share one memo entry.
 Duplicator wins the *tree* variant iff she wins the prefix game from both
 orders of the pair; that mirrors closure of tree-shaped classes under
 conjunction, where branches may start with either quantifier.
+
+Spoiler wins the n-round prefix game on two structures exactly when some
+existential level-n, block-k sentence is true on the left and false on the
+right; :func:`find_separator` reads such a sentence off Spoiler's winning
+moves (the Hintikka-formula construction).
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ValidationError
-from .structure import Structure, is_partial_isomorphism
+from .formula import And, Exists, Formula, Literal, negate_dual
+from .structure import Structure, _first_difference, is_partial_isomorphism
 
 DEFAULT_POSITION_BUDGET = 10_000_000
 
@@ -47,18 +53,6 @@ class GameConfig:
             raise ValidationError("tuple_size must be >= 1 when rounds >= 1")
         if self.tuple_size < 0:
             raise ValidationError("tuple_size must be >= 0")
-
-
-def _check_position(a: Structure, a_tuple: tuple[str, ...],
-                    b: Structure, b_tuple: tuple[str, ...]) -> None:
-    if a.vocab.relations != b.vocab.relations:
-        raise ValidationError("vocabulary mismatch between the boards")
-    if len(a_tuple) != len(b_tuple):
-        raise ValidationError("initial tuples must have equal length")
-    if not set(a_tuple) <= set(a.universe):
-        raise ValidationError("left tuple mentions unknown elements")
-    if not set(b_tuple) <= set(b.universe):
-        raise ValidationError("right tuple mentions unknown elements")
 
 
 def prefix_game_winner(config: GameConfig, a: Structure,
@@ -91,7 +85,6 @@ def _prefix_game(config: GameConfig, a: Structure, a_tuple: tuple[str, ...],
     """:func:`prefix_game_winner` with ``explored`` positions already
     charged to the budget; returns the winner and the new count."""
     a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
-    _check_position(a, a_tuple, b, b_tuple)
     if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
         # every final position extends the start
         return Player.Spoiler, explored
@@ -171,3 +164,62 @@ def tree_prefix_game_winner(config: GameConfig, a: Structure,
         return Player.Spoiler
     return _prefix_game(config, b, b_tuple, a, a_tuple, max_positions,
                         explored)[0]
+
+
+def find_separator(n: int, k: int, a1: Structure, a2: Structure,
+                   max_positions: int = DEFAULT_POSITION_BUDGET
+                   ) -> Formula | None:
+    """An existential level-n block-k *sentence* true on a1 and false on a2,
+    or None exactly when Duplicator wins the (n, k) prefix game on them.
+
+    Spoiler's k-tuples on the left board are tried in universe order.  A
+    move wins when every reply on the right board either breaks the partial
+    isomorphism, which contributes the first row that differs as a literal,
+    or loses the (n-1)-round game from the swapped position, which
+    contributes the dual negation of that position's separator.  The
+    sentence is the move's block of existentials, over variables ``z<i>``
+    named by pebble position, on the conjunction of the distinct parts.
+
+    Every sub-solve draws on one budget of ``max_positions`` game positions;
+    past it the call raises BudgetExceeded with the total count.  Raises
+    ValidationError when n < 1, k < 1 or the vocabularies differ.
+    """
+    if n < 1 or k < 1:
+        raise ValidationError("separator search needs n >= 1 and k >= 1")
+    explored = 0
+
+    def separate(rounds: int, left: Structure, left_tuple: tuple[str, ...],
+                 right: Structure, right_tuple: tuple[str, ...]
+                 ) -> Formula | None:
+        nonlocal explored
+        names = [f"z{i + 1}" for i in range(len(left_tuple) + k)]
+        for move in itertools.product(left.universe, repeat=k):
+            grown = left_tuple + move
+            parts: list[Formula] = []
+            for reply in itertools.product(right.universe, repeat=k):
+                answer = right_tuple + reply
+                diff = _first_difference(left, grown, right, answer)
+                if diff is not None:
+                    relation, idx, held = diff
+                    part = Literal(held, relation,
+                                   tuple(names[i] for i in idx))
+                else:
+                    if rounds == 1:
+                        break
+                    winner, explored = _prefix_game(
+                        GameConfig(rounds - 1, k), right, answer, left, grown,
+                        max_positions, explored)
+                    if winner is Player.Duplicator:
+                        break
+                    part = negate_dual(separate(rounds - 1, right, answer,
+                                                left, grown))
+                if part not in parts:
+                    parts.append(part)
+            else:
+                body = parts[0] if len(parts) == 1 else And(tuple(parts))
+                for name in reversed(names[len(left_tuple):]):
+                    body = Exists(name, body)
+                return body
+        return None
+
+    return separate(n, a1, (), a2, ())

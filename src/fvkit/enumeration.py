@@ -22,17 +22,16 @@ O(generators * classes) rather than a pass over all pairs per round, and an
 input that is already closed costs work only for its irreducible elements.
 
 Class sets drive the transfer oracle (does every existential-class sentence
-true on the left position hold on the right one?), the separator search, and
-the class-counting bound check.  The transfer oracle has one pipeline: its
-level 0 is the literals alone, left to the level-1 fold to combine.  All
-orders of iteration are deterministic, so repeated runs produce
-byte-identical output.
+true on the left position hold on the right one?) and the class-counting
+bound check; separators are read off the game solver in ``efgame``.  The
+transfer oracle has one pipeline: its level 0 is the literals alone, left to
+the level-1 fold to combine.  All orders of iteration are deterministic, so
+repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ValidationError
@@ -375,107 +374,6 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
     m1 = 1 << bed.row_index(0, tuple(a1_tuple))
     m2 = 1 << bed.row_index(1, tuple(a2_tuple))
     return all(bits & m2 for bits in bits_list if bits & m1)
-
-
-# ---------------------------------------------------------------------------
-# Separator search
-
-
-@dataclass
-class SeparatorBudget:
-    max_width: int = 3
-    max_classes: int = 200_000
-    max_work: int = 20_000_000
-
-
-def find_separator(n: int, k: int, a1: Structure, a2: Structure,
-                   budget: SeparatorBudget | None = None) -> Formula | None:
-    """Search for an existential level-n block-k *sentence* true on a1 and
-    false on a2.
-
-    Iterative deepening on a width parameter: level 0 contributes
-    conjunctions and disjunctions of up to ``width`` literals, intermediate
-    levels combine up to ``width`` classes, and the outermost level closes
-    under conjunction to a fixpoint on the (tiny) sentence row space.  The
-    first separating class in enumeration order wins.  ``None`` means "none
-    within budget", never "no separator exists".
-    """
-    budget = budget or SeparatorBudget()
-    if a1.vocab.relations != a2.vocab.relations:
-        raise ValidationError("vocabulary mismatch")
-    if n < 1 or k < 1:
-        raise ValidationError("separator search needs n >= 1 and k >= 1")
-    bed = TestBed((a1, a2), ())
-    r1 = 1 << bed.row_index(0, ())
-    r2 = 1 << bed.row_index(1, ())
-    caps = EnumerationCaps(budget.max_classes)
-    for width in range(1, budget.max_width + 1):
-        try:
-            classes = _budget_classes(SIGMA, n, k, bed, width, budget,
-                                      caps, top=True)
-        except CapExceeded:
-            break
-        for c in classes:
-            if (c.bits & r1) and not (c.bits & r2):
-                return c.representative
-    return None
-
-
-def _combos(classes: list[SemanticClass], op: str, width: int,
-            budget: SeparatorBudget) -> list[SemanticClass]:
-    total = sum(math.comb(len(classes), w) for w in range(1, width + 1))
-    if total > budget.max_work:
-        raise CapExceeded("separator width stage exceeds the work budget: "
-                          f"{total} combinations, limit {budget.max_work}")
-    out: list[SemanticClass] = []
-    seen: set[int] = set()
-    for w in range(1, width + 1):
-        for combo in itertools.combinations(classes, w):
-            if op == "and":
-                bits = -1
-                for c in combo:
-                    bits &= c.bits
-            else:
-                bits = 0
-                for c in combo:
-                    bits |= c.bits
-            if bits in seen:
-                continue
-            seen.add(bits)
-            rep = combo[0].representative
-            for c in combo[1:]:
-                rep = (_conjoin if op == "and" else _disjoin)(
-                    rep, c.representative)
-            out.append(SemanticClass(bits, rep))
-            _check_class_cap(len(out), budget.max_classes)
-    return out
-
-
-def _budget_classes(mode: str, n: int, k: int, bed: TestBed, width: int,
-                    budget: SeparatorBudget, caps: EnumerationCaps,
-                    top: bool) -> list[SemanticClass]:
-    if n == 0:
-        seeds = _literal_seeds(bed)
-        pool = _combos(seeds, "and", width, budget)
-        pool.extend(_combos(seeds, "or", width, budget))
-        return _dedupe(pool)
-    fresh = _fresh_names(bed.var_context, k)
-    ext = bed.extend(fresh)
-    dual = PI if mode == SIGMA else SIGMA
-    sub = _budget_classes(dual, n - 1, k, ext, width, budget, caps, top=False)
-    op = "and" if mode == SIGMA else "or"
-    if n == 1:
-        # a conjunction of quantifier-free classes is again quantifier-free:
-        # the level-0 pool already carries the combined shapes
-        closed = sub
-    elif top:
-        try:
-            closed = _closure(sub, (op,), caps)
-        except CapExceeded:
-            closed = _combos(sub, op, width, budget)
-    else:
-        closed = _combos(sub, op, width, budget)
-    return _project(closed, bed, ext, fresh, mode)
 
 
 # ---------------------------------------------------------------------------

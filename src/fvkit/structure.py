@@ -146,6 +146,19 @@ def is_partial_isomorphism(a: Structure, a_tuple: tuple[str, ...],
     reflects every relation of the (shared) vocabulary on the listed
     elements.  Symmetric in the two sides by construction.
     """
+    return _first_difference(a, a_tuple, b, b_tuple) is None
+
+
+def _first_difference(a: Structure, a_tuple: tuple[str, ...],
+                      b: Structure, b_tuple: tuple[str, ...]
+                      ) -> tuple[str, tuple[int, ...], bool] | None:
+    """The first row, in the order ``=`` and then the vocabulary's, on which
+    the tuples disagree: ``(relation, tuple positions, held on a)``, or None
+    when a_tuple -> b_tuple is a partial isomorphism.
+
+    Raises ValidationError on a vocabulary mismatch, tuples of different
+    lengths, or a tuple element outside its universe.
+    """
     if a.vocab.relations != b.vocab.relations:
         raise ValidationError("vocabulary mismatch")
     if len(a_tuple) != len(b_tuple):
@@ -160,12 +173,12 @@ def is_partial_isomorphism(a: Structure, a_tuple: tuple[str, ...],
     n = len(a_tuple)
     for i in range(n):
         for j in range(n):
-            if (a_tuple[i] == a_tuple[j]) != (b_tuple[i] == b_tuple[j]):
-                return False
+            held = a_tuple[i] == a_tuple[j]
+            if held != (b_tuple[i] == b_tuple[j]):
+                return "=", (i, j), held
     for name, arity in a.vocab.relations.items():
         for idx in itertools.product(range(n), repeat=arity):
-            left = tuple(a_tuple[i] for i in idx)
-            right = tuple(b_tuple[i] for i in idx)
-            if a.has(name, left) != b.has(name, right):
-                return False
-    return True
+            held = a.has(name, tuple(a_tuple[i] for i in idx))
+            if held != b.has(name, tuple(b_tuple[i] for i in idx)):
+                return name, idx, held
+    return None

@@ -140,6 +140,18 @@ def test_eval_reduction_on_loaded_betas():
                     eval_prop(d.beta, zeta)
 
 
+def test_reduction_from_json_rejects_factor_outside_its_side():
+    # eval_reduction used to meet this factor as a bare KeyError: 'y'
+    with pytest.raises(ValidationError,
+                       match=r"^delta1 factor 0 '\(E x y\)' has free variable "
+                       r"'y' outside its side \['x'\]$"):
+        reduction_from_json({
+            "delta1": ["(E x y)"], "delta2": ["true"],
+            "beta": {"var": [0, 1]},
+            "partition": {"left": ["x"], "right": ["y"]},
+            "vocabulary": {"E": 2}})
+
+
 def test_eval_reduction_budget_per_side(monkeypatch):
     # each factor makes 64 atom checks on an edgeless 8-element structure;
     # a side's budget covers all of its factors in one call

@@ -1,14 +1,20 @@
+"""Prefix and tree-prefix game solvers, and separators read off them."""
+
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fvkit import (BudgetExceeded, GameConfig, Player, Structure,
-                   ValidationError, Vocabulary, is_partial_isomorphism,
-                   prefix_game_winner, tree_prefix_game_winner)
+                   ValidationError, Vocabulary, block_uniform, classify,
+                   evaluate, find_separator, free_variables, in_sigma,
+                   is_partial_isomorphism, prefix_game_winner,
+                   transfer_oracle, tree_prefix_game_winner)
+from fvkit import efgame
 from conftest import all_structures, linear_order
 
 VU = Vocabulary({"U": 1})
+VE = Vocabulary({"E": 2})
 
 L5 = linear_order(5)
 L4 = linear_order(4, prefix="b")
@@ -181,6 +187,88 @@ def test_repeated_pebbles_match_reference():
                               ("b", "b")) == Player.Duplicator
     assert prefix_game_winner(GameConfig(1, 1), left, ("a", "a"), right,
                               ("b", "c")) == Player.Spoiler
+
+
+def test_find_separator_flag():
+    f = find_separator(1, 1, WITH_U, WITHOUT_U)
+    assert f is not None
+    assert evaluate(WITH_U, f, {}) is True
+    assert evaluate(WITHOUT_U, f, {}) is False
+    c = classify(f)
+    assert c.sigma_level <= 1 and c.block_uniform_k == 1
+
+
+def test_find_separator_none_for_isomorphic():
+    iso = Structure(VU, ("z",), {"U": frozenset({("z",)})})
+    assert find_separator(2, 1, WITH_U, iso) is None
+
+
+def test_find_separator_linear_orders():
+    f = find_separator(3, 1, linear_order(5), linear_order(4, prefix="b"))
+    assert f is not None
+    assert evaluate(linear_order(5), f, {}) is True
+    assert evaluate(linear_order(4, prefix="b"), f, {}) is False
+    c = classify(f)
+    assert c.sigma_level <= 3 and c.block_uniform_k == 1
+
+
+def separator_cells():
+    """Every <=2-element {U: 1} pair at (n, k) in {1, 2}^2, every <=2-element
+    {E: 2} pair at (1, 1), (1, 2) and (2, 1), and chains 2..6 at (3, 1) and
+    (4, 1)."""
+    unary, binary = all_structures(VU, 2), all_structures(VE, 2)
+    for n, k in itertools.product((1, 2), repeat=2):
+        for a, b in itertools.product(unary, repeat=2):
+            yield n, k, a, b
+    for n, k in ((1, 1), (1, 2), (2, 1)):
+        for a, b in itertools.product(binary, repeat=2):
+            yield n, k, a, b
+    for n in (3, 4):
+        for p, q in itertools.product(range(2, 7), repeat=2):
+            yield n, 1, linear_order(p), linear_order(q, prefix="b")
+
+
+def test_find_separator_matches_game_and_transfer():
+    cells = separators = 0
+    for n, k, a, b in separator_cells():
+        sep = find_separator(n, k, a, b)
+        game = prefix_game_winner(GameConfig(n, k), a, (), b, ())
+        assert (sep is None) == (game is Player.Duplicator), (n, k, a, b)
+        if n < 4:
+            # at n = 4 the transfer oracle passes its class cap on chains
+            assert (sep is None) == transfer_oracle(n, k, a, (), b, ()), \
+                (n, k, a, b)
+        cells += 1
+        if sep is not None:
+            separators += 1
+            assert free_variables(sep) == ()
+            assert evaluate(a, sep, {}) is True
+            assert evaluate(b, sep, {}) is False
+            assert in_sigma(sep, n) and block_uniform(sep, k)
+    assert cells == 144 + 972 + 50
+    assert 0 < separators < cells
+
+
+def test_find_separator_shares_one_budget(monkeypatch):
+    # L5 against L4 at n = 3, k = 1 takes 19 sub-solves and 44 positions,
+    # none of them over 8 on its own
+    solves = []
+    solve = efgame._prefix_game
+
+    def counted(*args):
+        winner, explored = solve(*args)
+        solves.append(explored - args[-1])
+        return winner, explored
+
+    monkeypatch.setattr(efgame, "_prefix_game", counted)
+    assert find_separator(3, 1, L5, L4) is not None
+    assert (len(solves), sum(solves), max(solves)) == (19, 44, 8)
+    monkeypatch.undo()
+    assert find_separator(3, 1, L5, L4, max_positions=44) is not None
+    with pytest.raises(BudgetExceeded,
+                       match="^game position budget exhausted: 44 positions "
+                       "explored, limit 43$"):
+        find_separator(3, 1, L5, L4, max_positions=43)
 
 
 # The heaviest tree games of the benchmark's game ladder, with the winners

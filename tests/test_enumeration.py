@@ -1,13 +1,13 @@
-"""Semantic class enumeration, the transfer oracle, separator search, and
-the counting check."""
+"""Semantic class enumeration, the transfer oracle, the separator budget,
+and the counting check."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (CapExceeded, EnumerationCaps, GameConfig, Player,
-                   SemanticClass, SeparatorBudget, Structure, TestBed,
+from fvkit import (BudgetExceeded, CapExceeded, EnumerationCaps, GameConfig,
+                   Player, SemanticClass, Structure, TestBed,
                    ValidationError, Vocabulary, classify, count_bound_check,
                    enumerate_classes, evaluate, find_separator,
                    free_variables, parse_formula, prefix_game_winner,
@@ -145,45 +145,16 @@ def test_transfer_matches_game_spot_checks():
         assert (game == Player.Duplicator) == transfer_oracle(1, 1, a, (), b, ())
 
 
-def test_find_separator_flag():
-    f = find_separator(1, 1, WITH_U, WITHOUT_U)
-    assert f is not None
-    assert evaluate(WITH_U, f, {}) is True
-    assert evaluate(WITHOUT_U, f, {}) is False
-    c = classify(f)
-    assert c.sigma_level <= 1 and c.block_uniform_k == 1
-
-
-def test_find_separator_none_for_isomorphic():
-    iso = Structure(VU, ("z",), {"U": frozenset({("z",)})})
-    assert find_separator(2, 1, WITH_U, iso) is None
-
-
-def test_find_separator_linear_orders():
-    f = find_separator(3, 1, linear_order(5), linear_order(4, prefix="b"))
-    assert f is not None
-    assert evaluate(linear_order(5), f, {}) is True
-    assert evaluate(linear_order(4, prefix="b"), f, {}) is False
-    c = classify(f)
-    assert c.sigma_level <= 3 and c.block_uniform_k == 1
-
-
 def test_find_separator_budget():
     with pytest.raises(ValidationError):
         find_separator(0, 1, WITH_U, WITHOUT_U)
-    tiny = SeparatorBudget(max_width=1, max_classes=3)
-    assert find_separator(2, 2, linear_order(3),
-                          linear_order(2, prefix="b"), tiny) is None
-    # find_separator treats both caps as the end of its search; the width
-    # stage itself says how far it got
-    classes = enumerate_classes("sigma", 0, 1, u_bed())
-    assert len(classes) == 4
-    with pytest.raises(CapExceeded, match="^separator width stage exceeds "
-                       "the work budget: 10 combinations, limit 3$"):
-        enumeration._combos(classes, "and", 2, SeparatorBudget(max_work=3))
-    with pytest.raises(CapExceeded, match=r"^class cap exceeded: 4 classes, "
-                       r"limit 3 \(inconclusive\)$"):
-        enumeration._combos(classes, "and", 2, SeparatorBudget(max_classes=3))
+    with pytest.raises(ValidationError):
+        find_separator(1, 1, WITH_U, linear_order(2))
+    # the budget raises; it never ends the search with None
+    with pytest.raises(BudgetExceeded, match="^game position budget "
+                       "exhausted: 4 positions explored, limit 3$"):
+        find_separator(2, 2, linear_order(3), linear_order(2, prefix="b"),
+                       max_positions=3)
 
 
 def test_count_bound_check_cells():
