@@ -3,30 +3,27 @@
 A test bed is a list of structures plus a variable context; a *row* is one
 structure together with one assignment of context variables to its elements.
 Every formula over the context then denotes a bitvector over the rows, and a
-semantic class is such a bitvector together with the first formula found
-denoting it.  Enumerating all classes of the existential tree-prefix level n
-with quantifier blocks of length k is decidable bed-wise:
+semantic class is such a bitvector together with a formula denoting it.
+Enumerating all classes of the existential tree-prefix level n with
+quantifier blocks of length k is decidable bed-wise:
 
 - level 0 starts from all literals (plus true/false) and closes under
   conjunction, then under disjunction, which by distributivity gives the
   lattice they generate;
 - level n takes the dual classes at level n-1 over the context extended by k
   fresh variables, closes under conjunction (intersection of bitvectors),
-  then projects the fresh block existentially -- a bit gather over each row's
+  then projects the fresh block existentially -- an OR over each row's
   extension block.  The universal dual closes under disjunction and projects
   with "all bits set".
 
-Every closure is a generator fold (see ``_closure``): the classes are folded
-one at a time into a running closure, in popcount order, so a closure costs
-O(generators * classes) rather than a pass over all pairs per round, and an
-input that is already closed costs work only for its irreducible elements.
-
-Class sets drive the transfer oracle (does every existential-class sentence
-true on the left position hold on the right one?) and the class-counting
-bound check; separators are read off the game solver in ``efgame``.  The
-transfer oracle has one pipeline: its level 0 is the literals alone, left to
-the level-1 fold to combine.  All orders of iteration are deterministic, so
-repeated runs produce byte-identical output.
+Classes stay bits while they close (by a generator fold, see ``_closure``)
+and project; each level maps a class's bits to how it was first made, and
+only ``enumerate_classes`` turns these recipes into formulas.  The transfer
+oracle (does every existential-class sentence true on the left position hold
+on the right one?) and the class-counting bound check read the bits alone;
+separators are read off the game solver in ``efgame``.  The oracle's level 0
+is the literals alone, left to the level-1 fold to combine.  All orders of
+iteration are deterministic, so repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -89,7 +86,7 @@ def _check_class_cap(count: int, limit: int) -> None:
 @dataclass(frozen=True)
 class SemanticClass:
     """A bed-semantic class: bit i is the truth value at row i; the
-    representative is some formula denoting exactly these bits."""
+    representative, built only on output, denotes exactly these bits."""
 
     bits: int
     representative: Formula
@@ -126,16 +123,20 @@ class TestBed:
             self.offsets.append(len(self.rows))
             for asg in itertools.product(s.universe, repeat=len(names)):
                 self.rows.append((i, asg))
-        self._row_map = {row: idx for idx, row in enumerate(self.rows)}
 
     def extend(self, names: tuple[str, ...]) -> "TestBed":
         return TestBed(self.structures, self.var_context + tuple(names))
 
     def row_index(self, structure_index: int, asg: tuple[str, ...]) -> int:
         key = (structure_index, tuple(asg))
-        if key not in self._row_map:
+        universe = (self.structures[structure_index].universe
+                    if structure_index in range(len(self.structures)) else ())
+        if (not universe or len(key[1]) != len(self.var_context)
+                or not set(key[1]) <= set(universe)):
             raise ValidationError(f"no such row: {key!r}")
-        return self._row_map[key]
+        return self.offsets[structure_index] + sum(
+            universe.index(e) * len(universe) ** p
+            for p, e in enumerate(reversed(key[1])))
 
     def key(self) -> tuple:
         return (tuple(s.key() for s in self.structures), self.var_context)
@@ -155,49 +156,47 @@ def _fresh_names(ctx: tuple[str, ...], k: int) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Bits for literal seeds
+# Seeds: literal bits from relation rows
 
 
-def _literal_bits(bed: TestBed, lit: Literal) -> int:
-    pos = [bed.var_context.index(a) for a in lit.args]
-    bits = 0
-    for idx, (si, asg) in enumerate(bed.rows):
-        row = tuple(asg[p] for p in pos)
-        if lit.relation == "=":
-            held = row[0] == row[1]
-        else:
-            held = bed.structures[si].has(lit.relation, row)
-        if held == lit.positive:
-            bits |= 1 << idx
-    return bits
+def _repeat(pattern: int, period: int, count: int) -> int:
+    """``pattern`` copied ``count`` times, ``period`` bits apart."""
+    return pattern * (((1 << period * count) - 1) // ((1 << period) - 1))
 
 
-def _literal_seeds(bed: TestBed) -> list[SemanticClass]:
-    full = (1 << len(bed.rows)) - 1
-    out = [SemanticClass(full, TOP), SemanticClass(0, BOT)]
-    ctx = bed.var_context
-    for name, arity in bed.vocab.relations.items():
+def _literal_seeds(bed: TestBed) -> dict[int, Formula]:
+    """true, false and the literals, first formula kept per bits.  Bits are
+    the OR, over the relation's rows (for "=", the pairs (e, e)), of the AND
+    of the coordinate masks that put each row element at its argument."""
+    ctx, full = bed.var_context, (1 << len(bed.rows)) - 1
+    coords = {}  # (structure, variable, element) -> rows giving v that e
+    for si, (s, offset) in enumerate(zip(bed.structures, bed.offsets)):
+        u = len(s.universe)
+        for p, v in enumerate(ctx):
+            st = u ** (len(ctx) - 1 - p)
+            for i, e in enumerate(s.universe):
+                coords[si, v, e] = _repeat(((1 << st) - 1) << i * st, u * st,
+                                           u ** p) << offset
+    seeds: dict[int, Formula] = {full: TOP, 0: BOT}  # rows exist: full > 0
+    for name, arity in [*bed.vocab.relations.items(), ("=", 2)]:
         for args in itertools.product(ctx, repeat=arity):
-            for positive in (True, False):
-                lit = Literal(positive, name, args)
-                out.append(SemanticClass(_literal_bits(bed, lit), lit))
-    for args in itertools.product(ctx, repeat=2):
-        for positive in (True, False):
-            lit = Literal(positive, "=", args)
-            out.append(SemanticClass(_literal_bits(bed, lit), lit))
-    return _dedupe(out)
-
-
-def _dedupe(classes) -> list[SemanticClass]:
-    seen: dict[int, SemanticClass] = {}
-    for c in classes:
-        if c.bits not in seen:
-            seen[c.bits] = c
-    return list(seen.values())
+            bits = 0
+            for si, s in enumerate(bed.structures):
+                for row in (zip(s.universe, s.universe) if name == "="
+                            else s.relations[name]):
+                    mask = -1  # arities are >= 1, so this ends inside si
+                    for a, e in zip(args, row):
+                        mask &= coords[si, a, e]
+                    bits |= mask
+            for positive, held in ((True, bits), (False, full ^ bits)):
+                if held not in seeds:
+                    seeds[held] = Literal(positive, name, args)
+    return seeds
 
 
 # ---------------------------------------------------------------------------
-# Representative combination (flat, so classification levels do not inflate)
+# Closure and projection; representatives combine flat, so classification
+# levels do not inflate
 
 
 def _conjoin(a: Formula, b: Formula) -> Formula:
@@ -212,89 +211,82 @@ def _disjoin(a: Formula, b: Formula) -> Formula:
     return Or(left + right)
 
 
-def _closure(classes: list[SemanticClass], ops: tuple[str, ...],
-             caps: EnumerationCaps) -> list[SemanticClass]:
+def _closure(classes: dict[int, object], ops: tuple[str, ...],
+             caps: EnumerationCaps) -> dict[int, object]:
     """Close under each listed operation in turn by a generator fold.
 
     Each operation is associative, commutative and idempotent, so folding
     the generators one at a time into a running closure C (C := C + {g} +
-    {c op g : c in C}) yields the closure in O(G * N) steps; a generator
-    already in C adds nothing and is skipped.  Generators are folded in
-    popcount order -- largest first for "and", smallest first for "or" --
-    so on an input that is already closed only its irreducible elements do
-    any work: every other element is the combination of elements folded
-    before it.  Closing under "and" and then "or" gives the generated
-    lattice by distributivity.
+    {c op g : c in C}) yields the closure in O(G * N) steps.  Generators go
+    in popcount order -- largest first for "and", smallest first for "or"
+    -- so on a closed input only its irreducible elements do any work, the
+    rest being already in C.  Closing under "and" and then "or" gives the
+    generated lattice by distributivity.
 
-    The output lists the input classes first, with their own
-    representatives, then the new classes in fold order.  Passing
-    ``caps.max_classes`` raises CapExceeded; nothing is truncated.
+    Returns the input classes, then the new ones in fold order with recipe
+    ``(op, c, g)``.  Passing ``caps.max_classes`` raises CapExceeded.
     """
-    found = {c.bits: c for c in _dedupe(classes)}
+    found = dict(classes)
     _check_class_cap(len(found), caps.max_classes)
     for op in ops:
-        if op == "and":
-            combine, make, largest_first = int.__and__, _conjoin, True
-        else:
-            combine, make, largest_first = int.__or__, _disjoin, False
-        generators = sorted(found.values(), key=lambda c: c.bits.bit_count(),
-                            reverse=largest_first)
+        meet = op == "and"
         closed: list[int] = []
         inside: set[int] = set()
-        for g in generators:
-            if g.bits in inside:
+        for g in sorted(found, key=int.bit_count, reverse=meet):
+            if g in inside:
                 continue
-            before = closed[:]
-            inside.add(g.bits)
-            closed.append(g.bits)
-            for c in before:
-                bits = combine(c, g.bits)
+            inside.add(g)
+            closed.append(g)
+            for c in closed[:-1]:  # a copy: the closure before g
+                bits = c & g if meet else c | g
                 if bits in inside:
                     continue
                 inside.add(bits)
                 closed.append(bits)
                 if bits not in found:
-                    found[bits] = SemanticClass(bits, make(
-                        found[c].representative, g.representative))
+                    found[bits] = (op, c, g)
                     _check_class_cap(len(found), caps.max_classes)
-    return list(found.values())
+    return found
 
 
-# ---------------------------------------------------------------------------
-# Block projection
+def _project(classes: dict[int, object], bed: TestBed, ext: TestBed,
+             mode: str) -> dict[int, int]:
+    """Map each projected class to the first inner class that gave it.
 
-
-def _block_layout(bed: TestBed, ext: TestBed) -> tuple[list[int], list[int]]:
-    """Per short row: start offset and length of its extension block in the
-    extended bed (fresh variables vary fastest, so blocks are contiguous)."""
-    j = len(ext.var_context) - len(bed.var_context)
-    starts, lengths = [], []
-    for idx, (si, _) in enumerate(bed.rows):
-        block = len(bed.structures[si].universe) ** j
-        local = idx - bed.offsets[si]
-        starts.append(ext.offsets[si] + local * block)
-        lengths.append(block)
-    return starts, lengths
-
-
-def _project(classes: list[SemanticClass], bed: TestBed, ext: TestBed,
-             fresh: tuple[str, ...], mode: str) -> list[SemanticClass]:
-    starts, lengths = _block_layout(bed, ext)
-    masks = [((1 << ln) - 1) << st for st, ln in zip(starts, lengths)]
-    kind = Exists if mode == SIGMA else Forall
-    out = []
-    for c in classes:
-        bits = 0
-        for idx, mask in enumerate(masks):
-            chunk = c.bits & mask
-            hit = chunk != 0 if mode == SIGMA else chunk == mask
-            if hit:
-                bits |= 1 << idx
-        rep = c.representative
-        for name in reversed(fresh):
-            rep = kind(name, rep)
-        out.append(SemanticClass(bits, rep))
-    return _dedupe(out)
+    Fresh variables vary fastest, so a structure's extension blocks are
+    contiguous and of one length L.  A log-step shift-OR fold leaves each
+    block's OR at its first bit (on the complement for pi), and a log-step
+    compress gathers every L-th bit."""
+    t, j = len(bed.var_context), len(ext.var_context) - len(bed.var_context)
+    plan = []
+    for si, s in enumerate(bed.structures):
+        width, blocks = len(s.universe) ** j, len(s.universe) ** t
+        # windows of 1, 2, 4, ... bits, then the rest of the block
+        shifts = [min(1 << r, width - (1 << r))
+                  for r in range((width - 1).bit_length())]
+        # step g puts the g bits gathered at block (2m+1)g after those at 2mg
+        steps = [(g * (width - 1), _repeat((1 << 2 * g) - 1, 2 * g * width,
+                                           -(-blocks // (2 * g))))
+                 for g in (1 << r for r in range((blocks - 1).bit_length()))
+                 if width > 1]
+        plan.append((ext.offsets[si], bed.offsets[si], shifts,
+                     _repeat(1, width, blocks), steps))
+    pi = mode == PI
+    full, short = (1 << len(ext.rows)) - 1, (1 << len(bed.rows)) - 1
+    out: dict[int, int] = {}
+    for bits in classes:
+        x = full ^ bits if pi else bits
+        projected = 0
+        for start, dest, shifts, pick, steps in plan:
+            y = x >> start
+            for s in shifts:
+                y |= y >> s
+            y &= pick
+            for s, mask in steps:
+                y = (y | y >> s) & mask
+            projected |= y << dest
+        out.setdefault(projected ^ short if pi else projected, bits)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +304,40 @@ def enumerate_classes(mode: str, n: int, k: int, bed: TestBed,
         raise ValidationError(f"mode must be {SIGMA!r} or {PI!r}")
     if n < 0 or (n >= 1 and k < 1):
         raise ValidationError("need n >= 0 and k >= 1 for quantified levels")
-    caps = caps or EnumerationCaps()
-    return _level_classes(mode, n, k, bed, caps, full_level0=True)
+    levels = _level_classes(mode, n, k, bed, caps or EnumerationCaps(), True)
+    # a recipe names only classes made before it, on its level or below
+    reps: dict[int, Formula] = {}
+    for classes, prefix in levels:
+        below, reps = reps, {}
+        for bits, how in classes.items():
+            if isinstance(how, tuple):
+                make = _conjoin if how[0] == "and" else _disjoin
+                how = make(reps[how[1]], reps[how[2]])
+            elif isinstance(how, int):
+                how = below[how]
+                for kind, name in reversed(prefix):
+                    how = kind(name, how)
+            reps[bits] = how
+    return [SemanticClass(bits, reps[bits]) for bits in levels[-1][0]]
 
 
 def _level_classes(mode: str, n: int, k: int, bed: TestBed,
-                   caps: EnumerationCaps, full_level0: bool) -> list[SemanticClass]:
+                   caps: EnumerationCaps, full_level0: bool) -> list[tuple]:
+    """The levels, innermost first, as (recipe dict, the quantifiers that its
+    projection recipes put around their inner class one level down)."""
     if n == 0:
         seeds = _literal_seeds(bed)
-        if full_level0:
-            return _closure(seeds, ("and", "or"), caps)
-        return seeds
+        return [(_closure(seeds, ("and", "or"), caps) if full_level0
+                 else seeds, ())]
     fresh = _fresh_names(bed.var_context, k)
     ext = bed.extend(fresh)
-    dual = PI if mode == SIGMA else SIGMA
-    sub = _level_classes(dual, n - 1, k, ext, caps, full_level0)
-    op = "and" if mode == SIGMA else "or"
-    closed = _closure(sub, (op,), caps)
-    return _project(closed, bed, ext, fresh, mode)
+    levels = _level_classes(PI if mode == SIGMA else SIGMA, n - 1, k, ext,
+                            caps, full_level0)
+    closed = _closure(levels[-1][0], ("and" if mode == SIGMA else "or",), caps)
+    levels[-1] = (closed, levels[-1][1])
+    kind = Exists if mode == SIGMA else Forall
+    return levels + [(_project(closed, bed, ext, mode),
+                      tuple((kind, name) for name in fresh))]
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +374,7 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
     cache_key = (n, k, bed.key(), caps.max_classes)
     bits_list = _transfer_cache.get(cache_key)
     if bits_list is None:
-        classes = _level_classes(SIGMA, n, k, bed, caps, full_level0=False)
-        bits_list = [c.bits for c in classes]
+        bits_list = list(_level_classes(SIGMA, n, k, bed, caps, False)[-1][0])
         if len(_transfer_cache) >= _TRANSFER_CACHE_SIZE:
             del _transfer_cache[next(iter(_transfer_cache))]
         _transfer_cache[cache_key] = bits_list
@@ -397,8 +404,7 @@ def count_bound_check(n: int, m: int, t: int, vocab: Vocabulary, bed: TestBed,
         raise ValidationError("vocabulary mismatch with the bed")
     if n < 0 or m < 0:
         raise ValidationError("n and m must be >= 0")
-    classes = _rank_classes(SIGMA, n, m, bed, caps)
-    count = len(classes)
+    count = len(_rank_classes(SIGMA, n, m, bed, caps))
     arity = max(vocab.relations.values(), default=1)
     base = (len(vocab.relations) + 1) * (n + 1) * (m + t) ** arity
     ok = tower_at_least(n + 2, base, count)
@@ -411,23 +417,17 @@ def count_bound_check(n: int, m: int, t: int, vocab: Vocabulary, bed: TestBed,
 
 
 def _rank_classes(mode: str, n: int, m: int, bed: TestBed,
-                  caps: EnumerationCaps) -> list[SemanticClass]:
+                  caps: EnumerationCaps) -> dict[int, object]:
+    """The classes as keys; their recipes mix levels and are never walked."""
     if n == 0:
         return _closure(_literal_seeds(bed), ("and", "or"), caps)
     dual = PI if mode == SIGMA else SIGMA
     op = "and" if mode == SIGMA else "or"
-    merged: dict[int, SemanticClass] = {}
+    merged: dict[int, object] = {}
     for j in range(m + 1):
-        fresh = _fresh_names(bed.var_context, j)
-        ext = bed.extend(fresh)
-        sub = _rank_classes(dual, n - 1, m - j, ext, caps)
-        closed = _closure(sub, (op,), caps)
-        if j:
-            projected = _project(closed, bed, ext, fresh, mode)
-        else:
-            projected = closed
-        for c in projected:
-            if c.bits not in merged:
-                merged[c.bits] = c
+        ext = bed.extend(_fresh_names(bed.var_context, j))
+        closed = _closure(_rank_classes(dual, n - 1, m - j, ext, caps), (op,),
+                          caps)
+        merged.update(_project(closed, bed, ext, mode) if j else closed)
         _check_class_cap(len(merged), caps.max_classes)
-    return list(merged.values())
+    return merged

@@ -6,9 +6,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (BudgetExceeded, CapExceeded, EnumerationCaps, GameConfig,
-                   Player, SemanticClass, Structure, TestBed,
-                   ValidationError, Vocabulary, classify, count_bound_check,
+from fvkit import (BOT, TOP, BudgetExceeded, CapExceeded, EnumerationCaps,
+                   Exists, Forall, GameConfig, Literal, Player,
+                   SemanticClass, Structure, TestBed, ValidationError,
+                   Vocabulary, classify, count_bound_check,
                    enumerate_classes, evaluate, find_separator,
                    free_variables, parse_formula, prefix_game_winner,
                    print_formula, tower, transfer_oracle)
@@ -42,6 +43,14 @@ def test_testbed_shape():
     sizes = [len(s.universe) for s in bed.structures]
     assert len(bed.rows) == sum(sizes)
     assert bed.rows[0][0] == 0
+    # row_index is the mixed-radix position, and refuses rows not in the bed
+    pair_bed = u_bed(("x", "y"))
+    for idx, (si, asg) in enumerate(pair_bed.rows):
+        assert pair_bed.row_index(si, asg) == idx
+    for si, asg in [(-1, ("e0", "e0")), (6, ("e0", "e0")), (0, ("e0",)),
+                    (0, ("e1", "e0")), ("0", ("e0", "e0"))]:
+        with pytest.raises(ValidationError, match="^no such row"):
+            pair_bed.row_index(si, asg)
     with pytest.raises(ValidationError):
         TestBed((WITH_U,), ("x", "x"))
     with pytest.raises(ValidationError):
@@ -190,32 +199,32 @@ def _pairwise_closure(classes, ops, caps):
     """The closure before the generator fold, kept as the reference: each
     round combines every known class with each of the last round's new
     classes, under every operation at once, until nothing new appears."""
-    items = enumeration._dedupe(classes)
+    items = dict(classes)
     if len(items) > caps.max_classes:
         raise CapExceeded("class cap exceeded (inconclusive)")
-    seen = {c.bits for c in items}
     frontier = list(items)
     while frontier:
-        fresh = []
-        for a in items:
+        fresh = {}
+        for a in list(items):
             for b in frontier:
                 for op in ops:
-                    if op == "and":
-                        bits = a.bits & b.bits
-                        make = enumeration._conjoin
-                    else:
-                        bits = a.bits | b.bits
-                        make = enumeration._disjoin
-                    if bits in seen:
+                    bits = a & b if op == "and" else a | b
+                    if bits in items or bits in fresh:
                         continue
-                    seen.add(bits)
-                    fresh.append(SemanticClass(bits, make(a.representative,
-                                                          b.representative)))
+                    fresh[bits] = (op, a, b)
                     if len(items) + len(fresh) > caps.max_classes:
                         raise CapExceeded("class cap exceeded (inconclusive)")
-        items.extend(fresh)
-        frontier = fresh
+        items.update(fresh)
+        frontier = list(fresh)
     return items
+
+
+def _enumerated_bits(*args):
+    return [c.bits for c in enumerate_classes(*args)]
+
+
+def _transfer_bits(*args):
+    return enumeration._level_classes(*args)[-1][0]
 
 
 def _closure_cells():
@@ -240,7 +249,7 @@ def _closure_cells():
                 if t and n + k == 3:
                     cell_bed = TestBed(structs[:2] + structs[3:4], ("x1",))
                 cells.append((f"enumerate {mode} n={n} k={k} t={t}",
-                              enumerate_classes, mode, n, k, cell_bed))
+                              _enumerated_bits, mode, n, k, cell_bed))
     # the transfer oracle's class sets on criterion 5's boards: unordered
     # pairs, leaving out pointed pairs of two 2-element boards (the
     # pairwise closure spends seconds on each at n = k = 2)
@@ -254,14 +263,247 @@ def _closure_cells():
             for n in (0, 1, 2):
                 for k in (1, 2):
                     cells.append((f"transfer {i}/{j} n={n} k={k} t={t}",
-                                  enumeration._level_classes, "sigma", n, k,
-                                  bed, caps, False))
+                                  _transfer_bits, "sigma", n, k, bed, caps,
+                                  False))
     return cells
 
 
 def test_fold_matches_pairwise_closure(monkeypatch):
     cells = _closure_cells()
-    fold = {name: {c.bits for c in fn(*args)} for name, fn, *args in cells}
+    fold = {name: set(fn(*args)) for name, fn, *args in cells}
     monkeypatch.setattr(enumeration, "_closure", _pairwise_closure)
     for name, fn, *args in cells:
-        assert {c.bits for c in fn(*args)} == fold[name], name
+        assert set(fn(*args)) == fold[name], name
+
+
+# ---------------------------------------------------------------------------
+# The formula-carrying pipeline that built a representative for every class,
+# kept as the reference for the bits-first one.
+
+
+def _ref_literal_bits(bed, lit):
+    pos = [bed.var_context.index(a) for a in lit.args]
+    bits = 0
+    for idx, (si, asg) in enumerate(bed.rows):
+        row = tuple(asg[p] for p in pos)
+        if lit.relation == "=":
+            held = row[0] == row[1]
+        else:
+            held = bed.structures[si].has(lit.relation, row)
+        if held == lit.positive:
+            bits |= 1 << idx
+    return bits
+
+
+def _ref_literal_seeds(bed):
+    full = (1 << len(bed.rows)) - 1
+    out = [SemanticClass(full, TOP), SemanticClass(0, BOT)]
+    ctx = bed.var_context
+    for name, arity in bed.vocab.relations.items():
+        for args in itertools.product(ctx, repeat=arity):
+            for positive in (True, False):
+                lit = Literal(positive, name, args)
+                out.append(SemanticClass(_ref_literal_bits(bed, lit), lit))
+    for args in itertools.product(ctx, repeat=2):
+        for positive in (True, False):
+            lit = Literal(positive, "=", args)
+            out.append(SemanticClass(_ref_literal_bits(bed, lit), lit))
+    return _ref_dedupe(out)
+
+
+def _ref_dedupe(classes):
+    seen = {}
+    for c in classes:
+        if c.bits not in seen:
+            seen[c.bits] = c
+    return list(seen.values())
+
+
+def _ref_closure(classes, ops, caps):
+    found = {c.bits: c for c in _ref_dedupe(classes)}
+    enumeration._check_class_cap(len(found), caps.max_classes)
+    for op in ops:
+        if op == "and":
+            combine, make, largest_first = (int.__and__,
+                                            enumeration._conjoin, True)
+        else:
+            combine, make, largest_first = (int.__or__,
+                                            enumeration._disjoin, False)
+        generators = sorted(found.values(), key=lambda c: c.bits.bit_count(),
+                            reverse=largest_first)
+        closed = []
+        inside = set()
+        for g in generators:
+            if g.bits in inside:
+                continue
+            before = closed[:]
+            inside.add(g.bits)
+            closed.append(g.bits)
+            for c in before:
+                bits = combine(c, g.bits)
+                if bits in inside:
+                    continue
+                inside.add(bits)
+                closed.append(bits)
+                if bits not in found:
+                    found[bits] = SemanticClass(bits, make(
+                        found[c].representative, g.representative))
+                    enumeration._check_class_cap(len(found), caps.max_classes)
+    return list(found.values())
+
+
+def _ref_project(classes, bed, ext, fresh, mode):
+    j = len(ext.var_context) - len(bed.var_context)
+    masks = []
+    for idx, (si, _) in enumerate(bed.rows):
+        block = len(bed.structures[si].universe) ** j
+        start = ext.offsets[si] + (idx - bed.offsets[si]) * block
+        masks.append(((1 << block) - 1) << start)
+    kind = Exists if mode == "sigma" else Forall
+    out = []
+    for c in classes:
+        bits = 0
+        for idx, mask in enumerate(masks):
+            chunk = c.bits & mask
+            hit = chunk != 0 if mode == "sigma" else chunk == mask
+            if hit:
+                bits |= 1 << idx
+        rep = c.representative
+        for name in reversed(fresh):
+            rep = kind(name, rep)
+        out.append(SemanticClass(bits, rep))
+    return _ref_dedupe(out)
+
+
+def _ref_level_classes(mode, n, k, bed, caps, full_level0):
+    if n == 0:
+        seeds = _ref_literal_seeds(bed)
+        if full_level0:
+            return _ref_closure(seeds, ("and", "or"), caps)
+        return seeds
+    fresh = enumeration._fresh_names(bed.var_context, k)
+    ext = bed.extend(fresh)
+    dual = "pi" if mode == "sigma" else "sigma"
+    sub = _ref_level_classes(dual, n - 1, k, ext, caps, full_level0)
+    op = "and" if mode == "sigma" else "or"
+    closed = _ref_closure(sub, (op,), caps)
+    return _ref_project(closed, bed, ext, fresh, mode)
+
+
+def _ref_rank_classes(mode, n, m, bed, caps):
+    if n == 0:
+        return _ref_closure(_ref_literal_seeds(bed), ("and", "or"), caps)
+    dual = "pi" if mode == "sigma" else "sigma"
+    op = "and" if mode == "sigma" else "or"
+    merged = {}
+    for j in range(m + 1):
+        fresh = enumeration._fresh_names(bed.var_context, j)
+        ext = bed.extend(fresh)
+        sub = _ref_rank_classes(dual, n - 1, m - j, ext, caps)
+        closed = _ref_closure(sub, (op,), caps)
+        if j:
+            projected = _ref_project(closed, bed, ext, fresh, mode)
+        else:
+            projected = closed
+        for c in projected:
+            if c.bits not in merged:
+                merged[c.bits] = c
+        enumeration._check_class_cap(len(merged), caps.max_classes)
+    return list(merged.values())
+
+
+def _outcome(fn, *args):
+    """The result, or the exact message of the CapExceeded raised."""
+    try:
+        return fn(*args)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def _printed(classes):
+    if isinstance(classes, str):
+        return classes
+    return [(c.bits, print_formula(c.representative)) for c in classes]
+
+
+def _differential_beds():
+    u2 = all_structures(VU, 2)
+    u3 = [s for s in all_structures(VU, 3) if len(s.universe) == 3]
+    # 1-, 2- and 3-element boards: extension blocks of length 3 and 9
+    mixed = (u2[0], u2[3], u3[2], u3[5])
+    beds = [TestBed(tuple(u2), ctx) for ctx in ((), ("x",), ("x", "y"))]
+    beds += [TestBed(tuple(all_structures(VE, 1)), ctx)
+             for ctx in ((), ("x",), ("x", "y"))]
+    beds += [TestBed(mixed, ctx) for ctx in ((), ("x",))]
+    return beds
+
+
+def test_pipeline_matches_reference(monkeypatch):
+    beds = _differential_beds()
+    # the E-literals with repeated variables are classes of their own
+    level0 = enumerate_classes("sigma", 0, 1, beds[4])
+    assert {"(E x x)", "(not (E x x))"} <= {
+        print_formula(c.representative) for c in level0}
+    assert _ref_literal_bits(beds[4], Literal(True, "=", ("x", "x"))) == \
+        (1 << len(beds[4].rows)) - 1
+    for bed in beds:
+        small = len(bed.rows) <= 6
+        for mode, n, k in itertools.product(("sigma", "pi"), (0, 1, 2),
+                                            (1, 2)):
+            if n + k > (4 if small else 3) or (n == 0 and k == 2):
+                continue
+            for cap in (EnumerationCaps(max_classes=3000),
+                        EnumerationCaps(max_classes=40)):
+                want = _outcome(_ref_level_classes, mode, n, k, bed, cap,
+                                True)
+                got = _outcome(enumerate_classes, mode, n, k, bed, cap)
+                assert _printed(got) == _printed(want), (bed.key(), mode, n,
+                                                         k, cap)
+    count_cells = [(bed, n, m) for bed in beds[:2] + beds[3:5]
+                   for n in (0, 1) for m in (0, 1, 2)]
+    for bed, n, m in count_cells:
+        for cap in (EnumerationCaps(), EnumerationCaps(max_classes=20)):
+            args = (n, m, len(bed.var_context), bed.vocab, bed, cap)
+            got = _outcome(count_bound_check, *args)
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, "_rank_classes", _ref_rank_classes)
+                assert _outcome(count_bound_check, *args) == got
+    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    boards = beds[0].structures + beds[-1].structures[2:]
+    answers = 0
+    for a, b in itertools.product(boards, repeat=2):
+        for ta, tb in [((), ())] + [((e,), (f,)) for e in a.universe[:2]
+                                    for f in b.universe[:1]]:
+            for n, k in ((1, 1), (1, 2), (2, 1)):
+                bed = TestBed((a, b), ("x1",)[:len(ta)])
+                m1 = 1 << bed.rows.index((0, ta))
+                m2 = 1 << bed.rows.index((1, tb))
+                classes = _ref_level_classes("sigma", n, k, bed,
+                                             EnumerationCaps(), False)
+                want = all(c.bits & m2 for c in classes if c.bits & m1)
+                assert transfer_oracle(n, k, a, ta, b, tb) == want
+                answers += 1
+    assert answers > 300
+
+
+def test_oracle_and_count_build_no_formulas(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a representative was built")
+    monkeypatch.setattr(enumeration, "_conjoin", refuse)
+    monkeypatch.setattr(enumeration, "_disjoin", refuse)
+    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    structs = all_structures(VU, 2)
+    # criterion 5's heaviest kind of pair: two pointed 2-element boards
+    a, b = structs[3], structs[4]
+    assert transfer_oracle(2, 2, a, ("e0",), b, ("e1",)) == (
+        prefix_game_winner(GameConfig(2, 2), a, ("e0",), b, ("e1",))
+        == Player.Duplicator)
+    assert count_bound_check(1, 2, 1, VU, u_bed(("x1",)))["count"] == 25
+
+
+def test_transfer_oracle_cannot_reach_n4():
+    chain = linear_order(3)
+    # raise, never truncate: the level-3 closure passes the default cap
+    with pytest.raises(CapExceeded, match=r"^class cap exceeded: 200001 "
+                       r"classes, limit 200000 \(inconclusive\)$"):
+        transfer_oracle(4, 1, chain, (), chain, ())
