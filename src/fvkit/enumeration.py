@@ -333,8 +333,10 @@ def _level_classes(mode: str, n: int, k: int, bed: TestBed,
     ext = bed.extend(fresh)
     levels = _level_classes(PI if mode == SIGMA else SIGMA, n - 1, k, ext,
                             caps, full_level0)
-    closed = _closure(levels[-1][0], ("and" if mode == SIGMA else "or",), caps)
-    levels[-1] = (closed, levels[-1][1])
+    closed = levels[-1][0]
+    if not (full_level0 and n == 1):  # a full level 0 is closed already
+        closed = _closure(closed, ("and" if mode == SIGMA else "or",), caps)
+        levels[-1] = (closed, levels[-1][1])
     kind = Exists if mode == SIGMA else Forall
     return levels + [(_project(closed, bed, ext, mode),
                       tuple((kind, name) for name in fresh))]

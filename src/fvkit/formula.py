@@ -75,10 +75,12 @@ def vocabulary_to_json(vocab: Vocabulary) -> dict:
 def _node(cls):
     """Freeze ``cls`` as a dataclass whose hash is computed once per node.
 
-    The hash, the free variables (see :func:`free_variables`) and the
-    quantifier-free flag (see :func:`is_quantifier_free`) are kept on the
-    node but are not fields, so ``==`` and ``repr`` see only the fields.
-    Pickling drops them: string hashes differ between processes.
+    The hash, the free variables (see :func:`free_variables`), the
+    quantifier-free flag (see :func:`is_quantifier_free`) and ``_ev``, the
+    evaluator closure that ``modelcheck`` compiles on first use, are kept on
+    the node but are not fields, so ``==`` and ``repr`` see only the fields.
+    Pickling drops them: string hashes differ between processes, and
+    closures do not pickle.
     """
     cls = dataclass(frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
@@ -93,7 +95,7 @@ def _node(cls):
     def __getstate__(self) -> dict:
         return {n: getattr(self, n) for n in names}
 
-    cls._hash = cls._free = cls._qf = None
+    cls._hash = cls._free = cls._qf = cls._ev = None
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls

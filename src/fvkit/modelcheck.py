@@ -1,8 +1,17 @@
-"""Brute-force model checking on finite structures."""
+"""Brute-force model checking on finite structures.
+
+Each formula node is compiled once into a closure ``(structure, asg,
+budget) -> bool`` that is kept on the node (see ``formula._node``).  A
+literal's closure binds its relation, arguments and sign; a connective's
+loops over its children's closures in child order; a quantifier's loops
+over ``structure.universe``.  Closures never capture their node and read
+``structure.relations`` at call time, so nothing depends on one structure.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+from operator import itemgetter
+from typing import Callable
 
 from .errors import BudgetExceeded, ValidationError
 from .formula import (And, Bot, Exists, Forall, Formula, Literal, Or, Top,
@@ -11,6 +20,10 @@ from .structure import Structure
 
 # Atom evaluations allowed per call before giving up.
 DEFAULT_ATOM_BUDGET = 10_000_000
+
+# (structure, assignment, budget) -> truth value; budget is
+# [checks left, limit] and the assignment is updated in place by quantifiers.
+Compiled = Callable[[Structure, dict, list], bool]
 
 
 def assignment_from_json(data: dict) -> dict[str, str]:
@@ -45,55 +58,156 @@ def evaluate(structure: Structure, f: Formula, asg: dict[str, str],
     """
     _check_assignment(structure, free_variables(f), asg)
     budget = [max_atom_checks, max_atom_checks]
-    return _eval(structure, f, dict(asg), budget)
+    return (f._ev or _compile(f))(structure, dict(asg), budget)
 
 
-def _eval(structure: Structure, f: Formula, asg: dict[str, str],
-          budget: list[int]) -> bool:
-    # budget is [checks left, limit]
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Literal):
+def _compile(f: Formula) -> Compiled:
+    """The closure of ``f``, compiling every node below it that has none
+    yet, children before parents, with an explicit stack so that depth
+    costs no Python frames here."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g._ev is not None:
+            stack.pop()
+            continue
+        if isinstance(g, (And, Or)):
+            kids = g.children
+        elif isinstance(g, (Exists, Forall)):
+            kids = (g.body,)
+        else:
+            kids = ()
+        todo = [c for c in kids if c._ev is None]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        object.__setattr__(g, "_ev", _make(g))
+    return f._ev
+
+
+def _make(g: Formula) -> Compiled:
+    """One node's closure, from its fields and its children's closures."""
+    if isinstance(g, Literal):
+        return _literal(g.positive, g.relation, g.args)
+    if isinstance(g, Top):
+        return _true
+    if isinstance(g, Bot):
+        return _false
+    if isinstance(g, And):
+        return _and(tuple(c._ev for c in g.children))
+    if isinstance(g, Or):
+        return _or(tuple(c._ev for c in g.children))
+    if isinstance(g, Exists):
+        return _exists(g.var, g.body._ev)
+    if isinstance(g, Forall):
+        return _forall(g.var, g.body._ev)
+    raise TypeError(f"not a formula: {g!r}")
+
+
+def _true(structure: Structure, asg: dict, budget: list) -> bool:
+    return True
+
+
+def _false(structure: Structure, asg: dict, budget: list) -> bool:
+    return False
+
+
+def _exhausted(budget: list) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"atom-check budget exhausted: {budget[1] - budget[0]} atom "
+        f"checks, limit {budget[1]}")
+
+
+def _unknown(relation: str) -> ValidationError:
+    return ValidationError(
+        f"relation {relation!r} not in the structure's vocabulary")
+
+
+def _literal(positive: bool, relation: str, args: tuple[str, ...]) -> Compiled:
+    if relation == "=":
+        a, b = args
+
+        def ev(structure, asg, budget):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise _exhausted(budget)
+            return (asg[a] == asg[b]) == positive
+        return ev
+    if len(args) == 1:
+        a, = args
+
+        def ev(structure, asg, budget):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise _exhausted(budget)
+            try:
+                rows = structure.relations[relation]
+            except KeyError:
+                raise _unknown(relation) from None
+            return ((asg[a],) in rows) == positive
+        return ev
+    row = itemgetter(*args)
+
+    def ev(structure, asg, budget):
         budget[0] -= 1
         if budget[0] < 0:
-            raise BudgetExceeded(
-                f"atom-check budget exhausted: {budget[1] - budget[0]} atom "
-                f"checks, limit {budget[1]}")
-        if f.relation != "=" and f.relation not in structure.relations:
-            raise ValidationError(
-                f"relation {f.relation!r} not in the structure's vocabulary")
-        row = tuple(asg[a] for a in f.args)
-        held = row[0] == row[1] if f.relation == "=" else structure.has(f.relation, row)
-        return held == f.positive
-    if isinstance(f, And):
-        return all(_eval(structure, c, asg, budget) for c in f.children)
-    if isinstance(f, Or):
-        return any(_eval(structure, c, asg, budget) for c in f.children)
-    if isinstance(f, Exists):
-        saved = asg.get(f.var)
-        for e in structure.universe:
-            asg[f.var] = e
-            if _eval(structure, f.body, asg, budget):
-                _restore(asg, f.var, saved)
-                return True
-        _restore(asg, f.var, saved)
-        return False
-    if isinstance(f, Forall):
-        saved = asg.get(f.var)
-        for e in structure.universe:
-            asg[f.var] = e
-            if not _eval(structure, f.body, asg, budget):
-                _restore(asg, f.var, saved)
+            raise _exhausted(budget)
+        try:
+            rows = structure.relations[relation]
+        except KeyError:
+            raise _unknown(relation) from None
+        return (row(asg) in rows) == positive
+    return ev
+
+
+def _and(kids: tuple[Compiled, ...]) -> Compiled:
+    def ev(structure, asg, budget):
+        for kid in kids:
+            if not kid(structure, asg, budget):
                 return False
-        _restore(asg, f.var, saved)
         return True
-    raise TypeError(f"not a formula: {f!r}")
+    return ev
 
 
-def _restore(asg: dict[str, str], var: str, saved: Optional[str]) -> None:
-    if saved is None:
-        asg.pop(var, None)
-    else:
-        asg[var] = saved
+def _or(kids: tuple[Compiled, ...]) -> Compiled:
+    def ev(structure, asg, budget):
+        for kid in kids:
+            if kid(structure, asg, budget):
+                return True
+        return False
+    return ev
+
+
+def _exists(var: str, body: Compiled) -> Compiled:
+    def ev(structure, asg, budget):
+        saved = asg.get(var)
+        found = False
+        for e in structure.universe:
+            asg[var] = e
+            if body(structure, asg, budget):
+                found = True
+                break
+        if saved is None:
+            asg.pop(var, None)
+        else:
+            asg[var] = saved
+        return found
+    return ev
+
+
+def _forall(var: str, body: Compiled) -> Compiled:
+    def ev(structure, asg, budget):
+        saved = asg.get(var)
+        held = True
+        for e in structure.universe:
+            asg[var] = e
+            if not body(structure, asg, budget):
+                held = False
+                break
+        if saved is None:
+            asg.pop(var, None)
+        else:
+            asg[var] = saved
+        return held
+    return ev

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fvkit import (And, BOT, Bot, Exists, Forall, Literal, Or, ParseError,
-                   TOP, Top, ValidationError, Vocabulary, classify,
-                   formula_size, free_variables, is_quantifier_free,
+                   Structure, TOP, Top, ValidationError, Vocabulary, classify,
+                   evaluate, formula_size, free_variables, is_quantifier_free,
                    negate_dual, parse_formula, print_formula, quantifier_rank,
                    random_formula)
 from fvkit.formula import subformulas
@@ -147,18 +147,28 @@ def test_node_caches_agree_with_structure():
 
 
 def test_node_caches_stay_out_of_fields_and_pickles():
-    f = parse_formula("(forall (x) (or (E x y) (exists (z) (E z x))))", VE)
+    text = "(forall (x) (or (E x y) (exists (z) (E z x))))"
+    f = parse_formula(text, VE)
     hash(f)
     free_variables(f)
     is_quantifier_free(f)
-    assert repr(f) == ("Forall(var='x', body=Or(children=(Literal(positive="
-                       "True, relation='E', args=('x', 'y')), Exists(var='z', "
-                       "body=Literal(positive=True, relation='E', "
-                       "args=('z', 'x'))))))")
+    board = Structure(VE, ("a",), {"E": frozenset({("a", "a")})})
+    assert evaluate(board, f, {"y": "a"}) is True
+    assert callable(f._ev) and callable(f.body.children[1].body._ev)
+    fresh = parse_formula(text, VE)
+    assert fresh._ev is None and fresh == f and f == fresh
+    assert repr(f) == repr(fresh) == (
+        "Forall(var='x', body=Or(children=(Literal(positive="
+        "True, relation='E', args=('x', 'y')), Exists(var='z', "
+        "body=Literal(positive=True, relation='E', "
+        "args=('z', 'x'))))))")
+    # Closures do not pickle, so this fails if _ev gets into the state.
     back = pickle.loads(pickle.dumps(f))
     # String hashes differ between processes, so pickles carry no caches.
     assert vars(back) == {"var": "x", "body": f.body}
+    assert back._ev is None and back.body._ev is None
     assert back == f and hash(back) == hash(f)
+    assert evaluate(board, back, {"y": "a"}) is True
     assert free_variables(back) == ("y",)
     assert is_quantifier_free(back) is False
     assert is_quantifier_free(back.body.children[0]) is True

@@ -1,12 +1,21 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from fvkit import (BudgetExceeded, Structure, ValidationError, Vocabulary,
-                   assignment_from_json, assignment_to_json, evaluate,
-                   free_variables, negate_dual, parse_formula, random_formula)
+from fvkit import (And, Bot, BudgetExceeded, Exists, Forall, Literal, Or,
+                   Structure, Top, ValidationError, Vocabulary,
+                   apply_sum_like, assignment_from_json, assignment_to_json,
+                   evaluate, free_variables, negate_dual, parse_formula,
+                   print_formula, random_formula)
+from fvkit.modelcheck import DEFAULT_ATOM_BUDGET, _compile
+from conftest import all_structures
+from test_acceptance import formula_suite, sum_like_ops
 
 VE = Vocabulary({"E": 2})
 VU = Vocabulary({"U": 1})
+VQ = Vocabulary({"E": 2, "Q1": 1, "Q2": 1})
 
 K3 = Structure(VE, ("1", "2", "3"),
                {"E": frozenset({("1", "2"), ("2", "1"), ("2", "3"),
@@ -52,6 +61,25 @@ def test_eval_work_cap():
         evaluate(big, deep, {}, max_atom_checks=10_000)
 
 
+def test_eval_depth():
+    # One frame per level: the tree walk it replaced took three per nested
+    # "and" (itself, all() and a generator) and stopped near 331 levels.
+    lit = Literal(True, "E", ("x", "x"))
+    f = lit
+    for _ in range(600):
+        f = And((lit, f))
+    assert evaluate(LOOP, f, {"x": "a"}) is True
+    g = Literal(True, "E", ("q900", "q1"))
+    for i in range(900, 0, -1):
+        g = Exists(f"q{i}", g)
+    assert evaluate(LOOP, g, {}) is True
+    # Compiling takes no frames per level at all.
+    h = lit
+    for _ in range(5000):
+        h = Or((h, lit))
+    assert callable(_compile(h))
+
+
 @st.composite
 def formula_and_structure(draw):
     n = draw(st.integers(0, 2))
@@ -91,3 +119,127 @@ def test_assignment_json_round_trip():
     assert assignment_from_json(assignment_to_json(asg)) == asg
     with pytest.raises(ValidationError):
         assignment_from_json(["x", "0"])
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the tree walk it replaced
+
+
+def _ref_eval(structure, f, asg, budget):
+    """The isinstance-dispatch walk that ``evaluate`` ran before formulas
+    were compiled to closures, kept verbatim as the reference."""
+    # budget is [checks left, limit]
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Literal):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BudgetExceeded(
+                f"atom-check budget exhausted: {budget[1] - budget[0]} atom "
+                f"checks, limit {budget[1]}")
+        if f.relation != "=" and f.relation not in structure.relations:
+            raise ValidationError(
+                f"relation {f.relation!r} not in the structure's vocabulary")
+        row = tuple(asg[a] for a in f.args)
+        held = row[0] == row[1] if f.relation == "=" else structure.has(f.relation, row)
+        return held == f.positive
+    if isinstance(f, And):
+        return all(_ref_eval(structure, c, asg, budget) for c in f.children)
+    if isinstance(f, Or):
+        return any(_ref_eval(structure, c, asg, budget) for c in f.children)
+    if isinstance(f, Exists):
+        saved = asg.get(f.var)
+        for e in structure.universe:
+            asg[f.var] = e
+            if _ref_eval(structure, f.body, asg, budget):
+                _ref_restore(asg, f.var, saved)
+                return True
+        _ref_restore(asg, f.var, saved)
+        return False
+    if isinstance(f, Forall):
+        saved = asg.get(f.var)
+        for e in structure.universe:
+            asg[f.var] = e
+            if not _ref_eval(structure, f.body, asg, budget):
+                _ref_restore(asg, f.var, saved)
+                return False
+        _ref_restore(asg, f.var, saved)
+        return True
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _ref_restore(asg, var, saved):
+    if saved is None:
+        asg.pop(var, None)
+    else:
+        asg[var] = saved
+
+
+def _run(evaluator, structure, f, asg, limit=DEFAULT_ATOM_BUDGET):
+    """(outcome, atom checks used, assignment after) of one evaluation; the
+    outcome is the truth value or the error's type and message."""
+    budget = [limit, limit]
+    asg = dict(asg)
+    try:
+        out = evaluator(structure, f, asg, budget)
+    except (BudgetExceeded, ValidationError) as exc:
+        out = (type(exc).__name__, str(exc))
+    return out, limit - budget[0], asg
+
+
+def _compiled(structure, f, asg, budget):
+    return _compile(f)(structure, asg, budget)
+
+
+def _differential(formulas, structures):
+    """Compare the two evaluators on every formula, structure and assignment:
+    equal outcomes, atom counts and restored assignments, and at one check
+    below the count, the same BudgetExceeded message from ``evaluate``.
+    Returns the outcomes seen, for coverage checks."""
+    seen = Counter()
+    for structure in structures:
+        for f in formulas:
+            names = free_variables(f)
+            for row in itertools.product(structure.universe,
+                                         repeat=len(names)):
+                asg = dict(zip(names, row))
+                ref = _run(_ref_eval, structure, f, asg)
+                assert _run(_compiled, structure, f, asg) == ref, \
+                    (print_formula(f), asg)
+                outcome, used, _ = ref
+                seen[outcome if isinstance(outcome, bool)
+                     else outcome[0]] += 1
+                if used == 0 or not isinstance(outcome, bool):
+                    continue
+                tight = _run(_ref_eval, structure, f, asg, used - 1)[0]
+                assert tight == ("BudgetExceeded", f"atom-check budget "
+                                 f"exhausted: {used} atom checks, limit "
+                                 f"{used - 1}")
+                with pytest.raises(BudgetExceeded) as info:
+                    evaluate(structure, f, asg, max_atom_checks=used - 1)
+                assert str(info.value) == tight[1]
+    return seen
+
+
+def test_compiled_evaluator_matches_reference():
+    # The criteria 1-2 suite shapes over each operation's target vocabulary,
+    # on its <= 2-element grid and on composites of evenly spaced grid pairs
+    # (all 9 of the smallest grids, 25 to 30 of the larger ones).
+    for _, op, grid in sum_like_ops():
+        formulas = [f for _, _, f, _ in
+                    formula_suite(op.interp.target_vocab, count=72)]
+        pairs = list(itertools.product(grid, repeat=2))
+        pairs = pairs[::1 + len(pairs) // 32]
+        composites = [apply_sum_like(op, a, b) for a, b in pairs]
+        seen = _differential(formulas, grid + composites)
+        assert seen[True] and seen[False]
+
+
+def test_unknown_relation_fails_only_when_reached():
+    # Q1/Q2 literals on {E: 2} structures: the error comes when the atom is
+    # reached, and a short circuit that skips it leaves no error.
+    formulas = [f for _, _, f, _ in formula_suite(VQ, count=72)]
+    seen = _differential(formulas, all_structures(VE, 2))
+    assert seen["ValidationError"] and seen[True] and seen[False]
