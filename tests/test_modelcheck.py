@@ -62,8 +62,8 @@ def test_eval_work_cap():
 
 
 def test_eval_depth():
-    # One frame per level: the tree walk it replaced took three per nested
-    # "and" (itself, all() and a generator) and stopped near 331 levels.
+    # Each nesting level costs one frame, so 600 nested "and"s fit under
+    # the recursion limit; a walk through all() and a generator takes three.
     lit = Literal(True, "E", ("x", "x"))
     f = lit
     for _ in range(600):
