@@ -29,7 +29,7 @@ sequence, with its beta, is laid out once at the top.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import ValidationError
@@ -176,13 +176,6 @@ class ReductionSequence:
     beta: PropFormula
     partition: VarPartition
     vocab: Vocabulary
-
-    # eval_reduction's compiled beta: not a field, so ``==``, ``repr`` and
-    # pickles (closures do not pickle) leave it out.
-    _ev = None
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __post_init__(self) -> None:
         for index, side in prop_vars(self.beta):
@@ -596,12 +589,11 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
     component under the partition's share of the tuples, then beta decides.
     Every tuple element must lie in its component's universe.  Each side has
     one budget of ``DEFAULT_ATOM_BUDGET`` atom checks for the whole call;
-    past it the call raises BudgetExceeded.  Beta is compiled once per
-    reduction into a closure, and each factor into ``evaluate``'s closure
-    when beta first reaches it; both are kept, so later calls only run
-    them.  Factors are checked on demand, in beta's child order, so beta's
-    short circuits carry over to the factor lists.  Factor values are not
-    kept, so a beta that names a factor twice checks it twice.
+    past it the call raises BudgetExceeded.  Each factor runs ``evaluate``'s
+    closure, compiled when beta first reaches the factor and kept on it.
+    Factors are checked on demand, in beta's child order, so beta's short
+    circuits carry over to the factor lists.  Factor values are not kept,
+    so a beta that names a factor twice checks it twice.
     """
     if len(a_tuple) != len(d.partition.left) or len(b_tuple) != len(d.partition.right):
         raise ValidationError("tuple lengths do not match the partition")
@@ -609,42 +601,15 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
     asg2 = dict(zip(d.partition.right, b_tuple))
     _check_assignment(a, d.partition.left, asg1)
     _check_assignment(b, d.partition.right, asg2)
-    return (d._ev or _compile_beta(d))(
-        (a, asg1, [DEFAULT_ATOM_BUDGET] * 2),
-        (b, asg2, [DEFAULT_ATOM_BUDGET] * 2))
+    sides = {1: (a, d.delta1, asg1, [DEFAULT_ATOM_BUDGET] * 2),
+             2: (b, d.delta2, asg2, [DEFAULT_ATOM_BUDGET] * 2)}
 
+    def zeta(i: int, s: int) -> bool:
+        structure, bank, asg, budget = sides[s]
+        f = bank[i]
+        return (f._ev or _compile(f))(structure, asg, budget)
 
-def _compile_beta(d: ReductionSequence):
-    """Beta as a closure ``(left, right) -> bool`` over each side's
-    (structure, assignment, budget), kept on the reduction."""
-    def make(p: PropFormula):
-        if isinstance(p, PTop):
-            return lambda left, right: True
-        if isinstance(p, PBot):
-            return lambda left, right: False
-        if isinstance(p, PVar):
-            f = (d.delta1 if p.side == 1 else d.delta2)[p.index]
-            if p.side == 1:
-                return lambda left, right: (f._ev or _compile(f))(*left)
-            return lambda left, right: (f._ev or _compile(f))(*right)
-        kids = tuple([make(c) for c in p.children])
-        if isinstance(p, PAnd):
-            def ev(left, right):
-                for kid in kids:
-                    if not kid(left, right):
-                        return False
-                return True
-        else:
-            def ev(left, right):
-                for kid in kids:
-                    if kid(left, right):
-                        return True
-                return False
-        return ev
-
-    beta = make(d.beta)
-    object.__setattr__(d, "_ev", beta)
-    return beta
+    return eval_prop(d.beta, zeta)
 
 
 def simplify_reduction(d: ReductionSequence) -> ReductionSequence:

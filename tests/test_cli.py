@@ -169,14 +169,8 @@ def test_eval_rejects_unknown_structure_key(tmp_path, capsys):
     ["decompose", "--formula",
      "(and (E x x) " * 400 + "(E x x)" + ")" * 400, "--vocab", '{"E": 2}',
      "--left", "x"],
-    ["eval", "--structure", "loop.json", "--formula",
-     "(exists (x) " * 1500 + "(E x x)" + ")" * 1500],
-    ["eval", "--structure", "loop.json", "--formula",
-     "(exists (x) " + "(and (E x x) " * 1000 + "(E x x)" + ")" * 1001],
-], ids=["classify-1500-exists", "decompose-400-and", "eval-1500-exists",
-        "eval-1000-and"])
-def test_deep_input_is_an_input_error(argv, files, capsys):
-    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+], ids=["classify-1500-exists", "decompose-400-and"])
+def test_deep_input_is_an_input_error(argv, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
