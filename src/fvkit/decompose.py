@@ -29,7 +29,7 @@ sequence, with its beta, is laid out once at the top.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Union
 
 from .errors import ValidationError
@@ -109,15 +109,33 @@ def prop_vars(p: PropFormula) -> set[tuple[int, int]]:
 
 def eval_prop(p: PropFormula, zeta) -> bool:
     """Evaluate under zeta: (index, side) -> bool."""
+    return _compile_prop(p)(zeta)
+
+
+def _compile_prop(p: PropFormula):
+    """p as a closure ``zeta -> bool`` that asks zeta for its variables in
+    child order and stops at the first child that decides."""
     if isinstance(p, PTop):
-        return True
+        return lambda zeta: True
     if isinstance(p, PBot):
-        return False
+        return lambda zeta: False
     if isinstance(p, PVar):
-        return bool(zeta(p.index, p.side))
+        index, side = p.index, p.side
+        return lambda zeta: bool(zeta(index, side))
+    kids = tuple([_compile_prop(c) for c in p.children])
     if isinstance(p, PAnd):
-        return all(eval_prop(c, zeta) for c in p.children)
-    return any(eval_prop(c, zeta) for c in p.children)
+        def ev(zeta):
+            for kid in kids:
+                if not kid(zeta):
+                    return False
+            return True
+    else:
+        def ev(zeta):
+            for kid in kids:
+                if kid(zeta):
+                    return True
+            return False
+    return ev
 
 
 def prop_to_json(p: PropFormula) -> dict:
@@ -176,6 +194,13 @@ class ReductionSequence:
     beta: PropFormula
     partition: VarPartition
     vocab: Vocabulary
+
+    # eval_reduction's compiled beta: not a field, so ``==`` and ``repr``
+    # leave it out, and pickles drop it because closures do not pickle.
+    _ev = None
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __post_init__(self) -> None:
         for index, side in prop_vars(self.beta):
@@ -589,8 +614,9 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
     component under the partition's share of the tuples, then beta decides.
     Every tuple element must lie in its component's universe.  Each side has
     one budget of ``DEFAULT_ATOM_BUDGET`` atom checks for the whole call;
-    past it the call raises BudgetExceeded.  Each factor runs ``evaluate``'s
-    closure, compiled when beta first reaches the factor and kept on it.
+    past it the call raises BudgetExceeded.  Beta is compiled once per
+    reduction, as in :func:`eval_prop`, and kept on it; each factor runs
+    ``evaluate``'s closure, compiled when beta first reaches the factor.
     Factors are checked on demand, in beta's child order, so beta's short
     circuits carry over to the factor lists.  Factor values are not kept,
     so a beta that names a factor twice checks it twice.
@@ -609,7 +635,11 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
         f = bank[i]
         return (f._ev or _compile(f))(structure, asg, budget)
 
-    return eval_prop(d.beta, zeta)
+    beta = d._ev
+    if beta is None:
+        beta = _compile_prop(d.beta)
+        object.__setattr__(d, "_ev", beta)
+    return beta(zeta)
 
 
 def simplify_reduction(d: ReductionSequence) -> ReductionSequence:

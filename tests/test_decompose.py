@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +139,24 @@ def test_eval_reduction_on_loaded_betas():
                     return evaluate(b, d.delta2[i], {"y": eb})
                 assert eval_reduction(d, a, b, (ea,), (eb,)) == \
                     eval_prop(d.beta, zeta)
+
+
+def test_compiled_beta_stays_out_of_fields_and_pickles():
+    f = "(and (E x x) (exists (z) (or (E z y) (= z y))))"
+    d = decompose(parse_formula(f, VE), VarPartition(("x",), ("y",)))
+    grid = all_structures(VE, 2)
+    cases = [(a, b, (ea,), (eb,)) for a, b in itertools.product(grid, repeat=2)
+             for ea, eb in itertools.product(a.universe, b.universe)]
+    values = [eval_reduction(d, *case) for case in cases]
+    assert d._ev is not None
+    fresh = decompose(parse_formula(f, VE), VarPartition(("x",), ("y",)))
+    assert fresh._ev is None
+    assert d == fresh and repr(d) == repr(fresh)
+    # Closures do not pickle, so this fails if _ev gets into the state.
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and back._ev is None
+    assert [eval_reduction(back, *case) for case in cases] == values
+    assert True in values and False in values
 
 
 def test_reduction_from_json_rejects_factor_outside_its_side():
