@@ -212,7 +212,7 @@ def _merged_assignment(partition: VarPartition, a_tuple, b_tuple) -> dict:
     return asg
 
 
-def _check_one(f, d, op, partition, a, b, a_tuple, b_tuple) -> dict | None:
+def _check_one(op, f, d, partition, a, b, a_tuple, b_tuple) -> dict | None:
     direct = evaluate(apply_sum_like(op, a, b), f,
                       _merged_assignment(partition, a_tuple, b_tuple))
     reduced = eval_reduction(d, a, b, a_tuple, b_tuple)
@@ -238,65 +238,60 @@ def _parse_random_spec(spec: str) -> tuple[str, int, int]:
     return parts[0], values["n"], values["m"]
 
 
+def _random_pair(vocab: Vocabulary, partition: VarPartition, max_size: int,
+                 rng) -> tuple:
+    a = _random_structure(vocab, rng.randint(1, max_size), rng)
+    b = _random_structure(vocab, rng.randint(1, max_size), rng)
+    return (a, b, tuple(rng.choice(a.universe) for _ in partition.left),
+            tuple(rng.choice(b.universe) for _ in partition.right))
+
+
+def _decomposition_cases(args, op: SumLikeOp, rng):
+    """``(f, d, partition, a, b, a_tuple, b_tuple)`` for every check: all
+    structure pairs and tuples up to ``--max-size`` for ``--formula`` alone
+    (at most 1,000,000 of them), else ``--trials`` random draws."""
+    vocab = op.interp.target_vocab
+    if not args.formula:
+        cls, n, m = _parse_random_spec(args.random)
+        for trial in range(100 if args.trials is None else args.trials):
+            fv = ("v1", "v2")[:trial % 3]
+            partition = VarPartition(fv[:1], fv[1:2])
+            f = random_formula(cls, n, m, vocab, free_vars=fv,
+                               seed=rng.randrange(2 ** 30))
+            yield (f, decompose_over_op(f, op, partition), partition,
+                   *_random_pair(vocab, partition, args.max_size, rng))
+        return
+    f = parse_formula(args.formula, vocab)
+    fv = free_variables(f)
+    partition = VarPartition(fv[0::2], fv[1::2])
+    d = decompose_over_op(f, op, partition)
+    if args.trials is not None:
+        for _ in range(args.trials):
+            yield (f, d, partition,
+                   *_random_pair(vocab, partition, args.max_size, rng))
+        return
+    shapes = list(_all_structures(vocab, args.max_size, cap=2000))
+    checks = 0
+    for a, b in itertools.product(shapes, repeat=2):
+        for a_tuple in itertools.product(a.universe,
+                                         repeat=len(partition.left)):
+            for b_tuple in itertools.product(b.universe,
+                                             repeat=len(partition.right)):
+                checks += 1
+                if checks > 1_000_000:
+                    raise CapExceeded(
+                        "exhaustive check too large; use --trials")
+                yield f, d, partition, a, b, a_tuple, b_tuple
+
+
 def _cmd_check_decomposition(args) -> int:
     import random
 
     if bool(args.formula) == bool(args.random):
         raise ValidationError("pass exactly one of --formula / --random")
     op = _resolve_op(args.op)
-    vocab = op.interp.target_vocab
-    rng = random.Random(args.seed)
-
-    if args.formula:
-        f = parse_formula(args.formula, vocab)
-        fv = free_variables(f)
-        partition = VarPartition(fv[0::2], fv[1::2])
-        d = decompose_over_op(f, op, partition)
-        if args.trials is None:
-            checks = 0
-            shapes = list(_all_structures(vocab, args.max_size, cap=2000))
-            for a, b in itertools.product(shapes, repeat=2):
-                left_space = itertools.product(a.universe,
-                                               repeat=len(partition.left))
-                for a_tuple in left_space:
-                    right_space = itertools.product(
-                        b.universe, repeat=len(partition.right))
-                    for b_tuple in right_space:
-                        checks += 1
-                        if checks > 1_000_000:
-                            raise CapExceeded(
-                                "exhaustive check too large; use --trials")
-                        bad = _check_one(f, d, op, partition,
-                                         a, b, a_tuple, b_tuple)
-                        if bad is not None:
-                            print(json.dumps(bad))
-                            return 1
-            return 0
-        for _ in range(args.trials):
-            a = _random_structure(vocab, rng.randint(1, args.max_size), rng)
-            b = _random_structure(vocab, rng.randint(1, args.max_size), rng)
-            a_tuple = tuple(rng.choice(a.universe) for _ in partition.left)
-            b_tuple = tuple(rng.choice(b.universe) for _ in partition.right)
-            bad = _check_one(f, d, op, partition, a, b, a_tuple, b_tuple)
-            if bad is not None:
-                print(json.dumps(bad))
-                return 1
-        return 0
-
-    cls, n, m = _parse_random_spec(args.random)
-    trials = args.trials if args.trials is not None else 100
-    for trial in range(trials):
-        t = trial % 3
-        fv = ("v1", "v2")[:t]
-        partition = VarPartition(fv[:1], fv[1:2])
-        f = random_formula(cls, n, m, vocab, free_vars=fv,
-                           seed=rng.randrange(2 ** 30))
-        d = decompose_over_op(f, op, partition)
-        a = _random_structure(vocab, rng.randint(1, args.max_size), rng)
-        b = _random_structure(vocab, rng.randint(1, args.max_size), rng)
-        a_tuple = tuple(rng.choice(a.universe) for _ in partition.left)
-        b_tuple = tuple(rng.choice(b.universe) for _ in partition.right)
-        bad = _check_one(f, d, op, partition, a, b, a_tuple, b_tuple)
+    for case in _decomposition_cases(args, op, random.Random(args.seed)):
+        bad = _check_one(op, *case)
         if bad is not None:
             print(json.dumps(bad))
             return 1

@@ -686,24 +686,16 @@ def simplify_reduction(d: ReductionSequence) -> ReductionSequence:
 def _fold(p: PropFormula) -> PropFormula:
     if isinstance(p, (PVar, PTop, PBot)):
         return p
-    children = [_fold(c) for c in p.children]
-    if isinstance(p, PAnd):
-        if any(isinstance(c, PBot) for c in children):
-            return P_BOT
-        children = [c for c in children if not isinstance(c, PTop)]
-        if not children:
-            return P_TOP
-        if len(children) == 1:
-            return children[0]
-        return PAnd(tuple(children))
-    if any(isinstance(c, PTop) for c in children):
-        return P_TOP
-    children = [c for c in children if not isinstance(c, PBot)]
+    # the junction's absorbing constant and its unit
+    zero, unit = (P_BOT, P_TOP) if isinstance(p, PAnd) else (P_TOP, P_BOT)
+    children = [c for c in map(_fold, p.children) if c != unit]
+    if zero in children:
+        return zero
     if not children:
-        return P_BOT
+        return unit
     if len(children) == 1:
         return children[0]
-    return POr(tuple(children))
+    return type(p)(tuple(children))
 
 
 def _renumber(p: PropFormula, remap1: dict[int, int],

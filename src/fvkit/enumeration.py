@@ -43,19 +43,20 @@ PI = "pi"
 DEFAULT_TOWER_MAX_BITS = 1 << 20
 
 
-def tower(level: int, base: int, max_bits: int = DEFAULT_TOWER_MAX_BITS) -> int:
+def tower(level: int, base: int) -> int:
     """Iterated exponential: tower(0, b) = b, tower(l, b) = 2**tower(l-1, b).
 
-    Raises CapExceeded once an intermediate exponent passes ``max_bits`` --
-    the value would be astronomically large, not merely big.
+    Raises CapExceeded once an intermediate exponent passes
+    ``DEFAULT_TOWER_MAX_BITS`` -- the value would be astronomically large,
+    not merely big.
     """
     if level < 0 or base < 0:
         raise ValidationError("tower arguments must be >= 0")
     value = base
     for _ in range(level):
-        if value > max_bits:
-            raise CapExceeded(
-                f"tower({level}, {base}) exceeds the {max_bits}-bit guard")
+        if value > DEFAULT_TOWER_MAX_BITS:
+            raise CapExceeded(f"tower({level}, {base}) exceeds the "
+                              f"{DEFAULT_TOWER_MAX_BITS}-bit guard")
         value = 1 << value
     return value
 
@@ -129,11 +130,12 @@ class TestBed:
 
     def row_index(self, structure_index: int, asg: tuple[str, ...]) -> int:
         key = (structure_index, tuple(asg))
-        universe = (self.structures[structure_index].universe
-                    if structure_index in range(len(self.structures)) else ())
-        if (not universe or len(key[1]) != len(self.var_context)
-                or not set(key[1]) <= set(universe)):
+        s = (self.structures[structure_index]
+             if structure_index in range(len(self.structures)) else None)
+        if (s is None or len(key[1]) != len(self.var_context)
+                or not set(key[1]) <= s.elements):
             raise ValidationError(f"no such row: {key!r}")
+        universe = s.universe
         return self.offsets[structure_index] + sum(
             universe.index(e) * len(universe) ** p
             for p, e in enumerate(reversed(key[1])))
@@ -199,16 +201,11 @@ def _literal_seeds(bed: TestBed) -> dict[int, Formula]:
 # levels do not inflate
 
 
-def _conjoin(a: Formula, b: Formula) -> Formula:
-    left = a.children if isinstance(a, And) else (a,)
-    right = b.children if isinstance(b, And) else (b,)
-    return And(left + right)
-
-
-def _disjoin(a: Formula, b: Formula) -> Formula:
-    left = a.children if isinstance(a, Or) else (a,)
-    right = b.children if isinstance(b, Or) else (b,)
-    return Or(left + right)
+def _join(junction, a: Formula, b: Formula) -> Formula:
+    """``a`` and ``b`` under one flat ``junction`` node (And or Or)."""
+    left = a.children if isinstance(a, junction) else (a,)
+    right = b.children if isinstance(b, junction) else (b,)
+    return junction(left + right)
 
 
 def _closure(classes: dict[int, object], ops: tuple[str, ...],
@@ -311,8 +308,8 @@ def enumerate_classes(mode: str, n: int, k: int, bed: TestBed,
         below, reps = reps, {}
         for bits, how in classes.items():
             if isinstance(how, tuple):
-                make = _conjoin if how[0] == "and" else _disjoin
-                how = make(reps[how[1]], reps[how[2]])
+                how = _join(And if how[0] == "and" else Or,
+                            reps[how[1]], reps[how[2]])
             elif isinstance(how, int):
                 how = below[how]
                 for kind, name in reversed(prefix):

@@ -11,7 +11,9 @@ lambda, ``pi_level`` the universal dual.  Level 0 means quantifier-free for
 both.  A conjunction sits at existential level lambda when every child sits at
 universal level lambda - 1, so conjoining two existential level-1 formulas
 lands at level 3 -- the hierarchy is over the *shape* of the tree, not the
-prenex quantifier string.
+prenex quantifier string.  The levels, the size, the quantifier rank and the
+quantifier-block lengths are computed bottom-up, once per node, and kept on
+the node (see :func:`_shape`).
 """
 
 from __future__ import annotations
@@ -75,11 +77,11 @@ def vocabulary_to_json(vocab: Vocabulary) -> dict:
 def _node(cls):
     """Freeze ``cls`` as a dataclass whose hash is computed once per node.
 
-    The hash, the free variables (see :func:`free_variables`), the
-    quantifier-free flag (see :func:`is_quantifier_free`) and ``_ev``, the
-    evaluator closure that ``modelcheck`` compiles on first use, are kept on
-    the node but are not fields, so ``==`` and ``repr`` see only the fields.
-    Pickling drops them: string hashes differ between processes, and
+    The hash, the free variables (see :func:`free_variables`), the shape
+    (size, rank, levels and block lengths; see :func:`_shape`) and ``_ev``,
+    the evaluator closure that ``modelcheck`` compiles on first use, are kept
+    on the node but are not fields, so ``==`` and ``repr`` see only the
+    fields.  Pickling drops them: string hashes differ between processes, and
     closures do not pickle.
     """
     cls = dataclass(frozen=True)(cls)
@@ -95,7 +97,7 @@ def _node(cls):
     def __getstate__(self) -> dict:
         return {n: getattr(self, n) for n in names}
 
-    cls._hash = cls._free = cls._qf = cls._ev = None
+    cls._hash = cls._free = cls._shape = cls._ev = None
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
@@ -197,38 +199,6 @@ def free_variables(f: Formula) -> tuple[str, ...]:
             fv = ()
         object.__setattr__(f, "_free", fv)
     return fv
-
-
-def formula_size(f: Formula) -> int:
-    """Node count: a literal is one node per argument plus the relation
-    (polarity is part of the literal), a quantifier adds one node."""
-    if isinstance(f, (Top, Bot)):
-        return 1
-    if isinstance(f, Literal):
-        return 1 + len(f.args)
-    if isinstance(f, (And, Or)):
-        return 1 + sum(formula_size(c) for c in f.children)
-    return 1 + formula_size(f.body)
-
-
-def is_quantifier_free(f: Formula) -> bool:
-    """Computed once per node from the children's flags and kept on the node."""
-    qf = f._qf
-    if qf is None:
-        if isinstance(f, (And, Or)):
-            qf = all(is_quantifier_free(c) for c in f.children)
-        else:
-            qf = isinstance(f, (Literal, Top, Bot))
-        object.__setattr__(f, "_qf", qf)
-    return qf
-
-
-def _depth(f: Formula) -> int:
-    if isinstance(f, (Literal, Top, Bot)):
-        return 1
-    if isinstance(f, (And, Or)):
-        return 1 + max(_depth(c) for c in f.children)
-    return 1 + _depth(f.body)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -532,82 +502,102 @@ class Classification:
     block_uniform_k: Optional[int]
 
 
+def _shape(f: Formula) -> tuple[int, int, int, int, int, int]:
+    """``(size, rank, sigma level, pi level, root block, blocks below)``.
+
+    The root block is the length of the quantifier block that starts at
+    ``f`` (0 unless ``f`` is a quantifier); the blocks below are summed up
+    as 0 when there are none, k when all have length k, and -1 when their
+    lengths differ.  Computed once per node from the children's shapes and
+    kept on the node.  A quantified conjunction sits one sigma level above
+    its highest child pi level and an ``exists`` at its body's sigma level
+    but at least 1; the pi level of either is one more than its sigma level.
+    Disjunction and ``forall`` are the duals.
+    """
+    shape = f._shape
+    if shape is None:
+        if isinstance(f, (And, Or)):
+            size, rank, level, blocks = 1, 0, 0, 0
+            dual = 3 if isinstance(f, And) else 2
+            for c in f.children:
+                c = _shape(c)
+                size += c[0]
+                if c[1] > rank:
+                    rank = c[1]
+                if c[dual] > level:
+                    level = c[dual]
+                blocks = _merged(_merged(blocks, c[4]), c[5])
+            if not rank:
+                shape = (size, 0, 0, 0, 0, 0)
+            elif dual == 3:
+                shape = (size, rank, level + 1, level + 2, 0, blocks)
+            else:
+                shape = (size, rank, level + 2, level + 1, 0, blocks)
+        elif isinstance(f, (Exists, Forall)):
+            size, rank, sigma, pi, root, below = _shape(f.body)
+            if type(f.body) is type(f):
+                root += 1
+            else:
+                root, below = 1, _merged(below, root)
+            if isinstance(f, Exists):
+                level = sigma or 1
+                shape = (size + 1, rank + 1, level, level + 1, root, below)
+            else:
+                level = pi or 1
+                shape = (size + 1, rank + 1, level + 1, level, root, below)
+        elif isinstance(f, Literal):
+            shape = (1 + len(f.args), 0, 0, 0, 0, 0)
+        else:
+            shape = (1, 0, 0, 0, 0, 0)
+        object.__setattr__(f, "_shape", shape)
+    return shape
+
+
+def _merged(blocks: int, k: int) -> int:
+    """A summary of block lengths (see :func:`_shape`) with k added."""
+    if not k or k == blocks:
+        return blocks
+    return -1 if blocks else k
+
+
+def formula_size(f: Formula) -> int:
+    """Node count: a literal is one node per argument plus the relation
+    (polarity is part of the literal), a quantifier adds one node."""
+    return _shape(f)[0]
+
+
+def quantifier_rank(f: Formula) -> int:
+    return _shape(f)[1]
+
+
+def is_quantifier_free(f: Formula) -> bool:
+    return not _shape(f)[1]
+
+
 def in_sigma(f: Formula, level: int) -> bool:
     """Membership in the existential tree-prefix class at the given level."""
-    if level == 0:
-        return is_quantifier_free(f)
-    if isinstance(f, (Literal, Top, Bot)):
-        return True
-    if isinstance(f, Exists):
-        return in_sigma(f.body, level)
-    if isinstance(f, And):
-        return all(in_pi(c, level - 1) for c in f.children)
-    # Or and Forall only get in by containment of the dual class.
-    return in_pi(f, level - 1)
+    return _shape(f)[2] <= level
 
 
 def in_pi(f: Formula, level: int) -> bool:
     """Membership in the universal tree-prefix class at the given level."""
-    if level == 0:
-        return is_quantifier_free(f)
-    if isinstance(f, (Literal, Top, Bot)):
-        return True
-    if isinstance(f, Forall):
-        return in_pi(f.body, level)
-    if isinstance(f, Or):
-        return all(in_sigma(c, level - 1) for c in f.children)
-    return in_sigma(f, level - 1)
-
-
-def quantifier_rank(f: Formula) -> int:
-    if isinstance(f, (Literal, Top, Bot)):
-        return 0
-    if isinstance(f, (And, Or)):
-        return max(quantifier_rank(c) for c in f.children)
-    return 1 + quantifier_rank(f.body)
-
-
-def _block_lengths(f: Formula) -> set[int]:
-    lengths: set[int] = set()
-
-    def close(length: int) -> None:
-        if length:
-            lengths.add(length)
-
-    def walk(g: Formula, kind: Optional[type], length: int) -> None:
-        if isinstance(g, (Exists, Forall)):
-            if kind is type(g):
-                walk(g.body, kind, length + 1)
-            else:
-                close(length)
-                walk(g.body, type(g), 1)
-        elif isinstance(g, (And, Or)):
-            close(length)
-            for c in g.children:
-                walk(c, None, 0)
-        else:
-            close(length)
-
-    walk(f, None, 0)
-    return lengths
+    return _shape(f)[3] <= level
 
 
 def classify(f: Formula) -> Classification:
     """Least existential/universal levels, quantifier rank, and the common
     quantifier-block length when one exists (None otherwise)."""
-    bound = 2 * _depth(f) + 2
-    sigma = next(l for l in range(bound) if in_sigma(f, l))
-    pi = next(l for l in range(bound) if in_pi(f, l))
-    lengths = _block_lengths(f)
-    uniform = lengths.pop() if len(lengths) == 1 else None
-    return Classification(sigma, pi, quantifier_rank(f), uniform)
+    _, rank, sigma, pi, root, below = _shape(f)
+    blocks = _merged(below, root)
+    return Classification(sigma, pi, rank, blocks if blocks > 0 else None)
 
 
 def block_uniform(f: Formula, k: int) -> bool:
     """True when every maximal quantifier block has length exactly k
     (vacuously true for quantifier-free formulas)."""
-    lengths = _block_lengths(f)
-    return not lengths or lengths == {k}
+    root, below = _shape(f)[4:]
+    blocks = _merged(below, root)
+    return blocks == 0 or (blocks == k and k > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -615,18 +605,17 @@ def block_uniform(f: Formula, k: int) -> bool:
 
 
 def random_formula(cls: str, n: int, m: int, vocab: Vocabulary,
-                   free_vars: tuple[str, ...] = (), max_fanout: int = 3,
-                   seed: int = 0) -> Formula:
+                   free_vars: tuple[str, ...] = (), seed: int = 0) -> Formula:
     """Deterministically generate a formula in the requested class.
 
     ``cls`` is "sigma" or "pi"; the result classifies at existential
     (resp. universal) level <= n with quantifier rank <= m, uses connective
-    fan-out <= max_fanout, and draws free variables from ``free_vars``.
+    fan-out <= 3, and draws free variables from ``free_vars``.
     """
     if cls not in ("sigma", "pi"):
         raise ValidationError(f"cls must be 'sigma' or 'pi', got {cls!r}")
-    if n < 0 or m < 0 or max_fanout < 1:
-        raise ValidationError("n, m must be >= 0 and max_fanout >= 1")
+    if n < 0 or m < 0:
+        raise ValidationError("n, m must be >= 0")
     rng = random.Random(seed)
     avoid = set(free_vars)
     counter = [0]
@@ -653,7 +642,7 @@ def random_formula(cls: str, n: int, m: int, vocab: Vocabulary,
 
     def gen_qf(ctx: tuple[str, ...]) -> Formula:
         width = rng.choice([1, 1, 2, 2, 3])
-        lits = [gen_literal(ctx) for _ in range(min(width, max_fanout))]
+        lits = [gen_literal(ctx) for _ in range(width)]
         if len(lits) == 1:
             return lits[0]
         return (And if rng.random() < 0.5 else Or)(tuple(lits))
@@ -665,8 +654,7 @@ def random_formula(cls: str, n: int, m: int, vocab: Vocabulary,
         block = rng.choice([1] * 3 + [2])
         block = min(block, budget)
         names = tuple(fresh_var() for _ in range(block))
-        fanout = rng.choice([1, 1, 2, min(3, max_fanout)])
-        fanout = min(fanout, max_fanout)
+        fanout = rng.choice([1, 1, 2, 3])
         kids = tuple(gen(inner, depth - 1, budget - block, ctx + names)
                      for _ in range(fanout))
         if len(kids) == 1:

@@ -155,27 +155,21 @@ def _transform(xi: Interpretation, f: Formula) -> Formula:
         return And((mapped,) + tuple(_guard(xi, a) for a in f.args))
     if isinstance(f, (And, Or)):
         return type(f)(tuple(_transform(xi, c) for c in f.children))
-    # Maximal same-kind quantifier block.
+    # Maximal same-kind quantifier block, relativized to the universe:
+    # "exists" conjoins the guards, "forall" disjoins their duals.
     kind = type(f)
     names = []
     body = f
     while isinstance(body, kind):
         names.append(body.var)
         body = body.body
-    if kind is Exists:
-        guards = tuple(_guard(xi, v) for v in names)
-        if isinstance(body, And):
-            inner = tuple(_transform(xi, c) for c in body.children)
-        else:
-            inner = (_transform(xi, body),)
-        wrapped: Formula = And(guards + inner)
-    else:
-        guards = tuple(negate_dual(_guard(xi, v)) for v in names)
-        if isinstance(body, Or):
-            inner = tuple(_transform(xi, c) for c in body.children)
-        else:
-            inner = (_transform(xi, body),)
-        wrapped = Or(guards + inner)
+    junction = And if kind is Exists else Or
+    guards = tuple(_guard(xi, v) for v in names)
+    if kind is Forall:
+        guards = tuple(negate_dual(g) for g in guards)
+    inner = body.children if isinstance(body, junction) else (body,)
+    wrapped: Formula = junction(
+        guards + tuple(_transform(xi, c) for c in inner))
     for name in reversed(names):
         wrapped = kind(name, wrapped)
     return wrapped

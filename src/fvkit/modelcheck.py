@@ -38,11 +38,10 @@ def assignment_to_json(asg: dict[str, str]) -> dict:
 
 def _check_assignment(structure: Structure, variables: tuple[str, ...],
                       asg: dict[str, str]) -> None:
-    elems = set(structure.universe)
     for var in variables:
         if var not in asg:
             raise ValidationError(f"assignment misses free variable {var!r}")
-        if asg[var] not in elems:
+        if asg[var] not in structure.elements:
             raise ValidationError(
                 f"assignment sends {var!r} to unknown element {asg[var]!r}")
 

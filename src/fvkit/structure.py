@@ -21,7 +21,9 @@ class Structure:
 
     The universe order is part of the object (enumeration and serialization
     never reorder elements).  Every relation of the vocabulary is present,
-    possibly empty, and tables only mention universe elements.
+    possibly empty, and tables only mention universe elements.  The set of
+    elements is kept as ``elements``, which is not a field, so ``==``,
+    ``repr`` and JSON see only the fields.
     """
 
     vocab: Vocabulary
@@ -31,9 +33,9 @@ class Structure:
     def __post_init__(self) -> None:
         if not self.universe:
             raise ValidationError("empty universe")
-        if len(set(self.universe)) != len(self.universe):
+        elems = self.elements = frozenset(self.universe)
+        if len(elems) != len(self.universe):
             raise ValidationError("duplicate element ids")
-        elems = set(self.universe)
         tables = {}
         for name, arity in self.vocab.relations.items():
             rows = self.relations.get(name, frozenset())
@@ -163,12 +165,11 @@ def _first_difference(a: Structure, a_tuple: tuple[str, ...],
         raise ValidationError("vocabulary mismatch")
     if len(a_tuple) != len(b_tuple):
         raise ValidationError("tuple length mismatch")
-    a_elems, b_elems = set(a.universe), set(b.universe)
     for e in a_tuple:
-        if e not in a_elems:
+        if e not in a.elements:
             raise ValidationError(f"unknown element {e!r} on the left")
     for e in b_tuple:
-        if e not in b_elems:
+        if e not in b.elements:
             raise ValidationError(f"unknown element {e!r} on the right")
     n = len(a_tuple)
     for i in range(n):

@@ -129,6 +129,51 @@ def test_check_decomposition(files, capsys):
                 "--seed", "3"]) == 0
 
 
+def test_check_decomposition_formula_trials(capsys):
+    assert run(["check-decomposition", "--formula",
+                "(forall (z) (or (E v z) (exists (w) (E w v))))",
+                "--op", "join", "--max-size", "3", "--trials", "40",
+                "--seed", "5"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode", [[], ["--trials", "5"], None],
+                         ids=["exhaustive", "trials", "random"])
+def test_check_decomposition_reports_a_disagreement(mode, monkeypatch,
+                                                    capsys):
+    from fvkit import cli
+
+    real = cli.eval_reduction
+    monkeypatch.setattr(cli, "eval_reduction",
+                        lambda *args: not real(*args))
+    argv = ["check-decomposition", "--op", "disjoint-union",
+            "--max-size", "2"]
+    if mode is None:
+        argv += ["--random", "sigma,n=1,m=2", "--trials", "5"]
+    else:
+        argv += ["--formula", "(exists (z) (E z v))"] + mode
+    assert run(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    bad = json.loads(lines[0])
+    assert list(bad) == ["formula", "left", "right", "left_tuple",
+                         "right_tuple", "sum_value", "reduction_value"]
+    assert bad["sum_value"] is not bad["reduction_value"]
+
+
+def test_check_decomposition_exhaustive_cap(monkeypatch, capsys):
+    from fvkit import cli
+
+    # 530 structures of at most 3 elements, pointed on each side: the
+    # exhaustive space passes the cap, which holds however fast checks are
+    monkeypatch.setattr(cli, "_check_one", lambda *args: None)
+    assert run(["check-decomposition", "--formula", "(E v w)",
+                "--op", "disjoint-union", "--max-size", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "inconclusive: exhaustive check too large; use --trials\n")
+
+
 def test_usage_errors(files, capsys):
     assert run(["eval", "--structure", "nosuch.json",
                 "--formula", "true"]) == 2

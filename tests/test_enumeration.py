@@ -6,8 +6,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (BOT, TOP, BudgetExceeded, CapExceeded, EnumerationCaps,
-                   Exists, Forall, GameConfig, Literal, Player,
+from fvkit import (BOT, TOP, And, BudgetExceeded, CapExceeded,
+                   EnumerationCaps, Exists, Forall, GameConfig, Literal, Or,
+                   Player,
                    SemanticClass, Structure, TestBed, ValidationError,
                    Vocabulary, classify, count_bound_check,
                    enumerate_classes, evaluate, find_separator,
@@ -324,11 +325,9 @@ def _ref_closure(classes, ops, caps):
     enumeration._check_class_cap(len(found), caps.max_classes)
     for op in ops:
         if op == "and":
-            combine, make, largest_first = (int.__and__,
-                                            enumeration._conjoin, True)
+            combine, junction, largest_first = int.__and__, And, True
         else:
-            combine, make, largest_first = (int.__or__,
-                                            enumeration._disjoin, False)
+            combine, junction, largest_first = int.__or__, Or, False
         generators = sorted(found.values(), key=lambda c: c.bits.bit_count(),
                             reverse=largest_first)
         closed = []
@@ -346,8 +345,8 @@ def _ref_closure(classes, ops, caps):
                 inside.add(bits)
                 closed.append(bits)
                 if bits not in found:
-                    found[bits] = SemanticClass(bits, make(
-                        found[c].representative, g.representative))
+                    found[bits] = SemanticClass(bits, enumeration._join(
+                        junction, found[c].representative, g.representative))
                     enumeration._check_class_cap(len(found), caps.max_classes)
     return list(found.values())
 
@@ -490,8 +489,7 @@ def test_pipeline_matches_reference(monkeypatch):
 def test_oracle_and_count_build_no_formulas(monkeypatch):
     def refuse(*args):
         raise AssertionError("a representative was built")
-    monkeypatch.setattr(enumeration, "_conjoin", refuse)
-    monkeypatch.setattr(enumeration, "_disjoin", refuse)
+    monkeypatch.setattr(enumeration, "_join", refuse)
     monkeypatch.setattr(enumeration, "_transfer_cache", {})
     structs = all_structures(VU, 2)
     # criterion 5's heaviest kind of pair: two pointed 2-element boards

@@ -253,3 +253,169 @@ def test_rank_level_gap(item):
     else:
         assert c.sigma_level == c.pi_level == 0
     assert quantifier_rank(f) == c.rank
+
+
+# The recursive walks behind classify and its siblings before the shape
+# cache, kept verbatim as the reference for the cached shape.
+
+def _ref_formula_size(f):
+    if isinstance(f, (Top, Bot)):
+        return 1
+    if isinstance(f, Literal):
+        return 1 + len(f.args)
+    if isinstance(f, (And, Or)):
+        return 1 + sum(_ref_formula_size(c) for c in f.children)
+    return 1 + _ref_formula_size(f.body)
+
+
+def _ref_depth(f):
+    if isinstance(f, (Literal, Top, Bot)):
+        return 1
+    if isinstance(f, (And, Or)):
+        return 1 + max(_ref_depth(c) for c in f.children)
+    return 1 + _ref_depth(f.body)
+
+
+def _ref_in_sigma(f, level):
+    if level == 0:
+        return _quantifier_free_walk(f)
+    if isinstance(f, (Literal, Top, Bot)):
+        return True
+    if isinstance(f, Exists):
+        return _ref_in_sigma(f.body, level)
+    if isinstance(f, And):
+        return all(_ref_in_pi(c, level - 1) for c in f.children)
+    # Or and Forall only get in by containment of the dual class.
+    return _ref_in_pi(f, level - 1)
+
+
+def _ref_in_pi(f, level):
+    if level == 0:
+        return _quantifier_free_walk(f)
+    if isinstance(f, (Literal, Top, Bot)):
+        return True
+    if isinstance(f, Forall):
+        return _ref_in_pi(f.body, level)
+    if isinstance(f, Or):
+        return all(_ref_in_sigma(c, level - 1) for c in f.children)
+    return _ref_in_sigma(f, level - 1)
+
+
+def _ref_quantifier_rank(f):
+    if isinstance(f, (Literal, Top, Bot)):
+        return 0
+    if isinstance(f, (And, Or)):
+        return max(_ref_quantifier_rank(c) for c in f.children)
+    return 1 + _ref_quantifier_rank(f.body)
+
+
+def _ref_block_lengths(f):
+    lengths = set()
+
+    def close(length):
+        if length:
+            lengths.add(length)
+
+    def walk(g, kind, length):
+        if isinstance(g, (Exists, Forall)):
+            if kind is type(g):
+                walk(g.body, kind, length + 1)
+            else:
+                close(length)
+                walk(g.body, type(g), 1)
+        elif isinstance(g, (And, Or)):
+            close(length)
+            for c in g.children:
+                walk(c, None, 0)
+        else:
+            close(length)
+
+    walk(f, None, 0)
+    return lengths
+
+
+def _ref_classify(f):
+    bound = 2 * _ref_depth(f) + 2
+    sigma = next(l for l in range(bound) if _ref_in_sigma(f, l))
+    pi = next(l for l in range(bound) if _ref_in_pi(f, l))
+    lengths = _ref_block_lengths(f)
+    uniform = lengths.pop() if len(lengths) == 1 else None
+    return (sigma, pi, _ref_quantifier_rank(f), uniform)
+
+
+def _ref_block_uniform(f, k):
+    lengths = _ref_block_lengths(f)
+    return not lengths or lengths == {k}
+
+
+def _random_nnf(rng, depth):
+    """A tree with constants under quantifiers, variables rebound inside
+    their own scope, same-kind quantifier chains of up to three binders and
+    connectives that mix quantifier-free and quantified children."""
+    draw = rng.random()
+    if depth == 0 or draw < 0.2:
+        if draw < 0.05:
+            return rng.choice((TOP, BOT))
+        return Literal(rng.random() < 0.5, "E",
+                       (rng.choice("xy"), rng.choice("xy")))
+    if draw < 0.6:
+        kind = rng.choice((Exists, Forall))
+        f = _random_nnf(rng, depth - 1)
+        for _ in range(rng.randint(1, 3)):
+            f = kind(rng.choice("xy"), f)
+        return f
+    return rng.choice((And, Or))(tuple(_random_nnf(rng, depth - 1)
+                                       for _ in range(rng.randint(2, 3))))
+
+
+def test_shape_matches_reference_walks():
+    from random import Random
+
+    from fvkit import block_uniform, in_pi, in_sigma, transform_formula
+    from test_acceptance import formula_suite, sum_like_ops
+
+    cases = [f for _, _, f, _ in formula_suite(VE)]
+    for _, op, _ in sum_like_ops():
+        suite = [f for _, _, f, _ in formula_suite(op.interp.target_vocab)]
+        cases += suite + [transform_formula(op.interp, f) for f in suite]
+    rng = Random(2024)
+    cases += [_random_nnf(rng, rng.randint(1, 6)) for _ in range(2000)]
+    nontrivial = set()
+    for f in cases:
+        c = classify(f)
+        want = _ref_classify(f)
+        assert (c.sigma_level, c.pi_level, c.rank, c.block_uniform_k) == want
+        nontrivial.add((want[0] > 2, want[3]))
+        for level in range(10):
+            assert in_sigma(f, level) is _ref_in_sigma(f, level)
+            assert in_pi(f, level) is _ref_in_pi(f, level)
+        for k in range(1, 5):
+            assert block_uniform(f, k) is _ref_block_uniform(f, k)
+        assert formula_size(f) == _ref_formula_size(f)
+        assert quantifier_rank(f) == _ref_quantifier_rank(f)
+        assert is_quantifier_free(f) is _quantifier_free_walk(f)
+    # levels above 2, several uniform block lengths and mixed ones all occur
+    assert {(True, None), (True, 1), (True, 2), (False, 3)} <= nontrivial
+
+
+@pytest.mark.parametrize("kind", ["and", "alternating"])
+def test_shape_reads_deep_chains(kind):
+    from fvkit import block_uniform, in_sigma
+
+    lit = Literal(True, "E", ("x", "x"))
+    f = lit
+    for i in range(900):
+        if kind == "and":
+            f = And((Exists("x", lit), f))
+        else:
+            f = (Exists if i % 2 == 0 else Forall)("x", f)
+    c = classify(f)
+    if kind == "and":
+        # each conjunction lifts the sigma level by two
+        assert (c.sigma_level, c.pi_level, c.rank) == (1801, 1802, 1)
+        assert formula_size(f) == 3 + 5 * 900
+    else:
+        assert (c.sigma_level, c.pi_level, c.rank) == (901, 900, 900)
+        assert formula_size(f) == 3 + 900
+    assert c.block_uniform_k == 1 and block_uniform(f, 1)
+    assert in_sigma(f, c.sigma_level) and not in_sigma(f, c.sigma_level - 1)

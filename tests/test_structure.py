@@ -30,6 +30,19 @@ def test_structure_validation():
     assert Structure(VE, ("a",), {}).relations["E"] == frozenset()
 
 
+def test_element_set_stays_out_of_fields():
+    s = Structure(VE, ("b", "a"), {"E": frozenset({("a", "b")})})
+    assert s.elements == frozenset({"a", "b"})
+    assert repr(s) == ("Structure(vocab=Vocabulary(relations={'E': 2}), "
+                       "universe=('b', 'a'), relations={'E': "
+                       "frozenset({('a', 'b')})})")
+    assert structure_to_json(s) == {"vocabulary": {"E": 2},
+                                    "universe": ["b", "a"],
+                                    "relations": {"E": [["a", "b"]]}}
+    assert s == structure_from_json(structure_to_json(s))
+    assert s != Structure(VE, ("a", "b"), s.relations)
+
+
 def test_annotated_disjoint_union_example():
     s = annotated_disjoint_union(LOOP, EDGELESS)
     assert s.universe == ("L:a", "R:b")
