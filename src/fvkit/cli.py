@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import os
+import random
 import sys
 
 from .decompose import (VarPartition, decompose, decompose_over_op,
@@ -232,7 +233,7 @@ def _parse_random_spec(spec: str) -> tuple[str, int, int]:
     values = {"n": 1, "m": 2}
     for part in parts[1:]:
         key, _, val = part.partition("=")
-        if key not in values or not val.isdigit():
+        if key not in values or not val.isdecimal():
             raise ValidationError(f"bad --random component {part!r}")
         values[key] = int(val)
     return parts[0], values["n"], values["m"]
@@ -285,10 +286,12 @@ def _decomposition_cases(args, op: SumLikeOp, rng):
 
 
 def _cmd_check_decomposition(args) -> int:
-    import random
-
     if bool(args.formula) == bool(args.random):
         raise ValidationError("pass exactly one of --formula / --random")
+    if args.max_size < 1:
+        raise ValidationError("--max-size must be at least 1")
+    if args.trials is not None and args.trials < 1:
+        raise ValidationError("--trials must be at least 1")
     op = _resolve_op(args.op)
     for case in _decomposition_cases(args, op, random.Random(args.seed)):
         bad = _check_one(op, *case)

@@ -35,7 +35,7 @@ from typing import NamedTuple, Union
 from .errors import ValidationError
 from .formula import (And, Bot, Exists, Forall, Formula, Literal, Or, Top,
                       TOP, BOT, Vocabulary, alpha_normalize, formula_size,
-                      free_variables, is_quantifier_free, parse_formula,
+                      _parse, free_variables, is_quantifier_free,
                       print_formula)
 from .interp import SumLikeOp, transform_formula
 from .modelcheck import DEFAULT_ATOM_BUDGET, _check_assignment, _compile
@@ -236,12 +236,12 @@ def reduction_to_json(d: ReductionSequence) -> dict:
 
 
 def reduction_from_json(data: dict) -> ReductionSequence:
-    """Inverse of :func:`reduction_to_json`.  Each factor's free variables
-    must lie on its side of the partition."""
+    """Inverse of :func:`reduction_to_json`, bound names included.  Each
+    factor's free variables must lie on its side of the partition."""
     vocab = Vocabulary(dict(data["vocabulary"]))
     d = ReductionSequence(
-        delta1=tuple(parse_formula(t, vocab) for t in data["delta1"]),
-        delta2=tuple(parse_formula(t, vocab) for t in data["delta2"]),
+        delta1=tuple(_parse(t, vocab) for t in data["delta1"]),
+        delta2=tuple(_parse(t, vocab) for t in data["delta2"]),
         beta=prop_from_json(data["beta"]),
         partition=VarPartition(tuple(data["partition"]["left"]),
                                tuple(data["partition"]["right"])),

@@ -76,22 +76,24 @@ def prefix_game_winner(config: GameConfig, a: Structure,
     ``max_positions`` of them the call raises BudgetExceeded instead of
     running unbounded.
     """
-    return _prefix_game(config, a, a_tuple, b, b_tuple, max_positions)[0]
-
-
-def _prefix_game(config: GameConfig, a: Structure, a_tuple: tuple[str, ...],
-                 b: Structure, b_tuple: tuple[str, ...], max_positions: int,
-                 explored: int = 0) -> tuple[Player, int]:
-    """:func:`prefix_game_winner` with ``explored`` positions already
-    charged to the budget; returns the winner and the new count."""
     a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
     if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
         # every final position extends the start
-        return Player.Spoiler, explored
+        return Player.Spoiler
+    dup_wins = _solver(a, b, config.tuple_size, max_positions)
+    won = dup_wins(config.rounds, True, frozenset(zip(a_tuple, b_tuple)))
+    return Player.Duplicator if won else Player.Spoiler
+
+
+def _solver(a: Structure, b: Structure, k: int, max_positions: int):
+    """``dup_wins(rounds, left_is_a, pairs)``: does Duplicator win with
+    ``rounds`` rounds left, Spoiler to move on ``a`` (else ``b``), from the
+    partial isomorphism ``pairs`` of (a, b) elements?  All calls share one
+    memo and one budget of ``max_positions`` positions."""
     tables = [(arity, a.relations[name], b.relations[name])
               for name, arity in a.vocab.relations.items()]
-    k = config.tuple_size
     memo: dict = {}
+    explored = 0
 
     def extends(pairs: frozenset, pair: tuple[str, str]) -> bool:
         # pairs is a partial isomorphism; test only the rows with the new pair
@@ -147,8 +149,7 @@ def _prefix_game(config: GameConfig, a: Structure, a_tuple: tuple[str, ...],
         memo[key] = result
         return result
 
-    won = dup_wins(config.rounds, True, frozenset(zip(a_tuple, b_tuple)))
-    return (Player.Duplicator if won else Player.Spoiler), explored
+    return dup_wins
 
 
 def tree_prefix_game_winner(config: GameConfig, a: Structure,
@@ -156,14 +157,16 @@ def tree_prefix_game_winner(config: GameConfig, a: Structure,
                             b_tuple: tuple[str, ...],
                             max_positions: int = DEFAULT_POSITION_BUDGET) -> Player:
     """Solve the tree variant: Duplicator must win the prefix game from both
-    orders of the boards.  Both games draw on one budget of
-    ``max_positions``."""
-    first, explored = _prefix_game(config, a, a_tuple, b, b_tuple,
-                                   max_positions)
-    if first is Player.Spoiler:
+    orders of the boards.  Both run on one solver and draw on one budget of
+    ``max_positions``; their positions never meet (opposite sides move)."""
+    a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
+    if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
         return Player.Spoiler
-    return _prefix_game(config, b, b_tuple, a, a_tuple, max_positions,
-                        explored)[0]
+    dup_wins = _solver(a, b, config.tuple_size, max_positions)
+    pairs = frozenset(zip(a_tuple, b_tuple))
+    won = (dup_wins(config.rounds, True, pairs)
+           and dup_wins(config.rounds, False, pairs))
+    return Player.Duplicator if won else Player.Spoiler
 
 
 def find_separator(n: int, k: int, a1: Structure, a2: Structure,
@@ -180,18 +183,20 @@ def find_separator(n: int, k: int, a1: Structure, a2: Structure,
     sentence is the move's block of existentials, over variables ``z<i>``
     named by pebble position, on the conjunction of the distinct parts.
 
-    Every sub-solve draws on one budget of ``max_positions`` game positions;
-    past it the call raises BudgetExceeded with the total count.  Raises
+    Every sub-position goes to one game solver, so the sub-games share one
+    memo and one budget of ``max_positions`` game positions; past it the
+    call raises BudgetExceeded with the total count.  Raises
     ValidationError when n < 1, k < 1 or the vocabularies differ.
     """
     if n < 1 or k < 1:
         raise ValidationError("separator search needs n >= 1 and k >= 1")
-    explored = 0
+    if a1.vocab.relations != a2.vocab.relations:
+        raise ValidationError("vocabulary mismatch")
+    dup_wins = _solver(a1, a2, k, max_positions)
 
-    def separate(rounds: int, left: Structure, left_tuple: tuple[str, ...],
-                 right: Structure, right_tuple: tuple[str, ...]
-                 ) -> Formula | None:
-        nonlocal explored
+    def separate(rounds: int, left_is_a: bool, left_tuple: tuple[str, ...],
+                 right_tuple: tuple[str, ...]) -> Formula | None:
+        left, right = (a1, a2) if left_is_a else (a2, a1)
         names = [f"z{i + 1}" for i in range(len(left_tuple) + k)]
         for move in itertools.product(left.universe, repeat=k):
             grown = left_tuple + move
@@ -206,13 +211,12 @@ def find_separator(n: int, k: int, a1: Structure, a2: Structure,
                 else:
                     if rounds == 1:
                         break
-                    winner, explored = _prefix_game(
-                        GameConfig(rounds - 1, k), right, answer, left, grown,
-                        max_positions, explored)
-                    if winner is Player.Duplicator:
+                    pairs = zip(grown, answer) if left_is_a \
+                        else zip(answer, grown)
+                    if dup_wins(rounds - 1, not left_is_a, frozenset(pairs)):
                         break
-                    part = negate_dual(separate(rounds - 1, right, answer,
-                                                left, grown))
+                    part = negate_dual(separate(rounds - 1, not left_is_a,
+                                                answer, grown))
                 if part not in parts:
                     parts.append(part)
             else:
@@ -222,4 +226,4 @@ def find_separator(n: int, k: int, a1: Structure, a2: Structure,
                 return body
         return None
 
-    return separate(n, a1, (), a2, ())
+    return separate(n, True, (), ())

@@ -45,7 +45,8 @@ class Vocabulary:
                 raise ValidationError(f"reserved relation name: {name!r}")
             if not NAME_RE.match(name) and name != "<=":
                 raise ValidationError(f"bad relation name: {name!r}")
-            if not isinstance(arity, int) or arity < 1:
+            # a bool is an int, but True is no arity
+            if type(arity) is not int or arity < 1:
                 raise ValidationError(f"bad arity for {name!r}: {arity!r}")
 
     def arity(self, name: str) -> int:
@@ -75,7 +76,8 @@ def vocabulary_to_json(vocab: Vocabulary) -> dict:
 
 
 def _node(cls):
-    """Freeze ``cls`` as a dataclass whose hash is computed once per node.
+    """Freeze ``cls`` as a dataclass whose hash is computed once per node
+    and whose ``str`` is :func:`print_formula`.
 
     The hash, the free variables (see :func:`free_variables`), the shape
     (size, rank, levels and block lengths; see :func:`_shape`) and ``_ev``,
@@ -97,9 +99,13 @@ def _node(cls):
     def __getstate__(self) -> dict:
         return {n: getattr(self, n) for n in names}
 
+    def __str__(self) -> str:
+        return print_formula(self)
+
     cls._hash = cls._free = cls._shape = cls._ev = None
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
+    cls.__str__ = __str__
     return cls
 
 
@@ -111,20 +117,15 @@ class Literal:
     relation: str
     args: tuple[str, ...]
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @_node
 class Top:
-    def __str__(self) -> str:
-        return "true"
+    """The constant true."""
 
 
 @_node
 class Bot:
-    def __str__(self) -> str:
-        return "false"
+    """The constant false."""
 
 
 @_node
@@ -135,9 +136,6 @@ class And:
         if not self.children:
             raise ValidationError("empty conjunction")
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @_node
 class Or:
@@ -147,26 +145,17 @@ class Or:
         if not self.children:
             raise ValidationError("empty disjunction")
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @_node
 class Exists:
     var: str
     body: "Formula"
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @_node
 class Forall:
     var: str
     body: "Formula"
-
-    def __str__(self) -> str:
-        return print_formula(self)
 
 
 Formula = Union[Literal, Top, Bot, And, Or, Exists, Forall]
@@ -242,156 +231,9 @@ def print_formula(f: Formula) -> str:
 # Parsing
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        elif ch == "<":
-            if text[i:i + 2] != "<=":
-                raise ParseError("unexpected character '<'", line, col)
-            tokens.append(_Token("<=", line, col))
-            col += 2
-            i += 2
-        elif ch == "=":
-            tokens.append(_Token("=", line, col))
-            col += 1
-            i += 1
-        else:
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-            word = m.group(0)
-            tokens.append(_Token(word, line, col))
-            col += len(word)
-            i += len(word)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], vocab: Vocabulary, text: str):
-        self.tokens = tokens
-        self.vocab = vocab
-        self.pos = 0
-        # Position reported when input ends too early.
-        lines = text.split("\n")
-        self.end_line = len(lines)
-        self.end_col = len(lines[-1]) + 1
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {what}, found end of input",
-                             self.end_line, self.end_col)
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next(f"{text!r}")
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.column)
-        return tok
-
-    def variable(self) -> str:
-        tok = self.next("a variable")
-        if not NAME_RE.match(tok.text) or tok.text in RESERVED_NAMES:
-            raise ParseError(f"expected a variable, found {tok.text!r}",
-                             tok.line, tok.column)
-        return tok.text
-
-    def formula(self) -> Formula:
-        tok = self.next("a formula")
-        if tok.text == "true":
-            return TOP
-        if tok.text == "false":
-            return BOT
-        if tok.text != "(":
-            raise ParseError(f"expected a formula, found {tok.text!r}",
-                             tok.line, tok.column)
-        head = self.next("a connective, quantifier or relation")
-        if head.text in ("exists", "forall"):
-            self.expect("(")
-            names = [self.variable()]
-            while self.peek() is not None and self.peek().text != ")":
-                names.append(self.variable())
-            self.expect(")")
-            body = self.formula()
-            self.expect(")")
-            ctor = Exists if head.text == "exists" else Forall
-            for name in reversed(names):
-                body = ctor(name, body)
-            return body
-        if head.text in ("and", "or"):
-            children = [self.formula()]
-            while self.peek() is not None and self.peek().text != ")":
-                children.append(self.formula())
-            self.expect(")")
-            if len(children) == 1:
-                return children[0]
-            ctor = And if head.text == "and" else Or
-            return ctor(tuple(children))
-        if head.text == "not":
-            inner = self.next("an atom")
-            if inner.text != "(":
-                raise ParseError(
-                    f"negation applies to atoms only, found {inner.text!r}",
-                    inner.line, inner.column)
-            atom = self.atom(negated=True)
-            self.expect(")")
-            return atom
-        # plain atom: we already consumed "(" and the head
-        return self.finish_atom(head, negated=False)
-
-    def atom(self, negated: bool) -> Formula:
-        head = self.next("a relation name")
-        return self.finish_atom(head, negated)
-
-    def finish_atom(self, head: _Token, negated: bool) -> Formula:
-        if head.text == "=":
-            a = self.variable()
-            b = self.variable()
-            self.expect(")")
-            return Literal(not negated, "=", (a, b))
-        ok_name = NAME_RE.match(head.text) or head.text == "<="
-        if not ok_name or head.text in RESERVED_NAMES:
-            raise ParseError(f"expected a relation name, found {head.text!r}",
-                             head.line, head.column)
-        if head.text not in self.vocab:
-            raise ParseError(f"unknown relation {head.text!r}",
-                             head.line, head.column)
-        args = []
-        while self.peek() is not None and self.peek().text != ")":
-            args.append(self.variable())
-        close = self.expect(")")
-        want = self.vocab.arity(head.text)
-        if len(args) != want:
-            raise ParseError(
-                f"relation {head.text!r} expects {want} argument(s), got {len(args)}",
-                head.line, head.column)
-        return Literal(not negated, head.text, tuple(args))
+# One token per match: ``<=``, a bracket, ``=``, a word, or any other single
+# non-space character, which is an error.
+_TOKEN_RE = re.compile(r"<=|[()=]|[A-Za-z_][A-Za-z0-9_]*|\S")
 
 
 def parse_formula(text: str, vocab: Vocabulary) -> Formula:
@@ -401,15 +243,112 @@ def parse_formula(text: str, vocab: Vocabulary) -> Formula:
     unary and/or collapse to their child, and bound variables are renamed
     apart from each other and from the free variables.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    return alpha_normalize(_parse(text, vocab))
+
+
+def _parse(text: str, vocab: Vocabulary) -> Formula:
+    """:func:`parse_formula` without the renaming of bound variables."""
+    toks = _TOKEN_RE.findall(text)
+
+    def error(message: str, index: int) -> ParseError:
+        # at token ``index`` or, past the last one, at the end of the input
+        pos = len(text) if index == len(toks) else \
+            [m.start() for m in _TOKEN_RE.finditer(text)][index]
+        return ParseError(message, text.count("\n", 0, pos) + 1,
+                          pos - text.rfind("\n", 0, pos))
+
+    bad = [tok for tok in set(toks)
+           if len(tok) == 1 and tok not in "()=" and not NAME_RE.match(tok)]
+    if bad:
+        index = min(map(toks.index, bad))
+        raise error(f"unexpected character {toks[index]!r}", index)
+    if not toks:
         raise ParseError("empty input", 1, 1)
-    parser = _Parser(tokens, vocab, text)
-    f = parser.formula()
-    extra = parser.peek()
-    if extra is not None:
-        raise ParseError(f"trailing input {extra.text!r}", extra.line, extra.column)
-    return alpha_normalize(f)
+    # Every token is now "<=", a bracket, "=" or a word, and only the words
+    # start with none of "()=<".
+    rest = toks[::-1]  # the next token is rest[-1]
+
+    def at() -> int:
+        # index of the token taken last
+        return len(toks) - len(rest) - 1
+
+    def take(what: str) -> str:
+        if not rest:
+            raise error(f"expected {what}, found end of input", len(toks))
+        return rest.pop()
+
+    def expect(tok: str) -> None:
+        got = take(repr(tok))
+        if got != tok:
+            raise error(f"expected {tok!r}, found {got!r}", at())
+
+    def variable() -> str:
+        tok = take("a variable")
+        if tok[0] in "()=<" or tok in RESERVED_NAMES:
+            raise error(f"expected a variable, found {tok!r}", at())
+        return tok
+
+    def formula() -> Formula:
+        tok = take("a formula")
+        if tok == "true":
+            return TOP
+        if tok == "false":
+            return BOT
+        if tok != "(":
+            raise error(f"expected a formula, found {tok!r}", at())
+        head = take("a connective, quantifier or relation")
+        if head == "exists" or head == "forall":
+            expect("(")
+            names = [variable()]
+            while rest and rest[-1] != ")":
+                names.append(variable())
+            expect(")")
+            body = formula()
+            expect(")")
+            ctor = Exists if head == "exists" else Forall
+            for name in reversed(names):
+                body = ctor(name, body)
+            return body
+        if head == "and" or head == "or":
+            children = [formula()]
+            while rest and rest[-1] != ")":
+                children.append(formula())
+            expect(")")
+            if len(children) == 1:
+                return children[0]
+            return (And if head == "and" else Or)(tuple(children))
+        positive = head != "not"
+        if not positive:
+            tok = take("an atom")
+            if tok != "(":
+                raise error(f"negation applies to atoms only, found {tok!r}",
+                            at())
+            head = take("a relation name")
+        if head == "=":
+            args = [variable(), variable()]
+            expect(")")
+        else:
+            index = at()
+            if head[0] in "()" or head in RESERVED_NAMES:
+                raise error(f"expected a relation name, found {head!r}", index)
+            want = vocab.relations.get(head)
+            if want is None:
+                raise error(f"unknown relation {head!r}", index)
+            args = []
+            while rest and rest[-1] != ")":
+                args.append(variable())
+            expect(")")
+            if len(args) != want:
+                raise error(f"relation {head!r} expects {want} argument(s), "
+                            f"got {len(args)}", index)
+        if not positive:
+            expect(")")
+        return Literal(positive, head, tuple(args))
+
+    f = formula()
+    if rest:
+        raise error(f"trailing input {rest[-1]!r}", at() + 1)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,41 @@ def test_check_decomposition_reports_a_disagreement(mode, monkeypatch,
     assert bad["sum_value"] is not bad["reduction_value"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--random", "sigma", "--trials", "1", "--max-size", "0"],
+     "--max-size must be at least 1"),
+    (["--random", "sigma,n=\u00b2"], "bad --random component 'n=\u00b2'"),
+    (["--formula", "(E x x)", "--max-size", "0"],
+     "--max-size must be at least 1"),
+    (["--formula", "(E x x)", "--trials", "-3"],
+     "--trials must be at least 1"),
+    (["--random", "pi", "--trials", "0"], "--trials must be at least 1"),
+], ids=["random-size-0", "superscript-digit", "formula-size-0",
+        "negative-trials", "zero-trials"])
+def test_check_decomposition_rejects_empty_checks(argv, message, capsys):
+    # each would otherwise end in a traceback, whose exit 1 reads as a
+    # violated property, or pass without a single check
+    assert run(["check-decomposition", "--op", "disjoint-union"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_bool_arity_is_an_input_error(files, tmp_path, capsys):
+    assert run(["classify", "--formula", "(E x y)",
+                "--vocab", '{"E": true}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and \
+        captured.err == "error: bad arity for 'E': True\n"
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"vocabulary": {"E": True}, "universe": ["a"],
+                                "relations": {"E": [["a"]]}}))
+    assert run(["eval", "--structure", str(path),
+                "--formula", "(exists (z) (E z))"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and \
+        captured.err == "error: bad arity for 'E': True\n"
+
+
 def test_check_decomposition_exhaustive_cap(monkeypatch, capsys):
     from fvkit import cli
 

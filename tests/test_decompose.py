@@ -171,6 +171,42 @@ def test_reduction_from_json_rejects_factor_outside_its_side():
             "vocabulary": {"E": 2}})
 
 
+def test_reduction_json_round_trip_is_exact():
+    # Factors load as written.  Decompose gives sibling binders one name;
+    # renaming them apart (q3 and q3_2) would change 246 of these 2,500
+    # reductions and 2,055 of the heavy reduction's 2,080 left factors.
+    from test_acceptance import formula_suite, sum_like_ops
+
+    ds = [decompose(f, part) for _, _, f, part in formula_suite(VE)]
+    for _, op, _ in sum_like_ops():
+        ds += [decompose_over_op(f, op, part) for _, _, f, part
+               in formula_suite(op.interp.target_vocab)]
+    op = builtin("join")
+    f = random_formula("sigma", n=3, m=3, vocab=op.interp.target_vocab,
+                       free_vars=("v1", "v2"), seed=913070797)
+    ds.append(decompose_over_op(f, op, VarPartition(("v1",), ("v2",))))
+    for d in ds:
+        assert reduction_from_json(reduction_to_json(d)) == d
+
+
+def test_loaded_factor_may_rebind_a_partition_variable():
+    text = "(and (E x x) (exists (x) (not (E x x))))"
+    d = reduction_from_json({
+        "delta1": [text], "delta2": ["true"], "beta": {"var": [0, 1]},
+        "partition": {"left": ["x"], "right": []}, "vocabulary": {"E": 2}})
+    assert reduction_to_json(d)["delta1"] == [text]
+    renamed = parse_formula(text, VE)
+    assert print_formula(renamed) != text
+    values = set()
+    for a in all_structures(VE, 2):
+        for e in a.universe:
+            want = evaluate(a, renamed, {"x": e})
+            assert evaluate(a, d.delta1[0], {"x": e}) is want
+            assert eval_reduction(d, a, a, (e,), ()) is want
+            values.add(want)
+    assert values == {True, False}
+
+
 def test_eval_reduction_budget_per_side(monkeypatch):
     # each factor makes 64 atom checks on an edgeless 8-element structure;
     # a side's budget covers all of its factors in one call

@@ -120,6 +120,7 @@ def _quantifier_free_walk(f):
 def test_node_caches_agree_with_structure():
     # Four separate builds of each formula: two generator runs, two parses.
     # The caches fill root-first on one build and leaves-first on the others.
+    kinds = set()
     for seed in range(150):
         cls = ("sigma", "pi")[seed % 2]
         n = (seed // 2) % 3
@@ -141,9 +142,12 @@ def test_node_caches_agree_with_structure():
                 assert hash(g) == hash(group[0])
                 assert free_variables(g) == reference
                 assert is_quantifier_free(g) is qf
+                assert str(g) == print_formula(g)
             assert repr(group[0]) == repr(group[1])
+            kinds.add(type(group[0]))
         if built[0] not in (TOP, BOT):  # the only shared nodes
             assert len({id(f) for f in built}) == 4
+    assert kinds == {Literal, Top, Bot, And, Or, Exists, Forall}
 
 
 def test_node_caches_stay_out_of_fields_and_pickles():
@@ -419,3 +423,257 @@ def test_shape_reads_deep_chains(kind):
         assert formula_size(f) == 3 + 900
     assert c.block_uniform_k == 1 and block_uniform(f, 1)
     assert in_sigma(f, c.sigma_level) and not in_sigma(f, c.sigma_level - 1)
+
+
+# The parser as it was before tokens came from one regex, kept verbatim as
+# the reference for test_parser_matches_reference.
+import re  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+from typing import Optional  # noqa: E402
+
+from fvkit.formula import NAME_RE, RESERVED_NAMES, alpha_normalize  # noqa: E402
+
+
+@dataclass(frozen=True)
+class _Token:
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch in "()":
+            tokens.append(_Token(ch, line, col))
+            col += 1
+            i += 1
+        elif ch == "<":
+            if text[i:i + 2] != "<=":
+                raise ParseError("unexpected character '<'", line, col)
+            tokens.append(_Token("<=", line, col))
+            col += 2
+            i += 2
+        elif ch == "=":
+            tokens.append(_Token("=", line, col))
+            col += 1
+            i += 1
+        else:
+            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
+            if not m:
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+            word = m.group(0)
+            tokens.append(_Token(word, line, col))
+            col += len(word)
+            i += len(word)
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token], vocab: Vocabulary, text: str):
+        self.tokens = tokens
+        self.vocab = vocab
+        self.pos = 0
+        # Position reported when input ends too early.
+        lines = text.split("\n")
+        self.end_line = len(lines)
+        self.end_col = len(lines[-1]) + 1
+
+    def peek(self) -> Optional[_Token]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, what: str) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"expected {what}, found end of input",
+                             self.end_line, self.end_col)
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.next(f"{text!r}")
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}",
+                             tok.line, tok.column)
+        return tok
+
+    def variable(self) -> str:
+        tok = self.next("a variable")
+        if not NAME_RE.match(tok.text) or tok.text in RESERVED_NAMES:
+            raise ParseError(f"expected a variable, found {tok.text!r}",
+                             tok.line, tok.column)
+        return tok.text
+
+    def formula(self):
+        tok = self.next("a formula")
+        if tok.text == "true":
+            return TOP
+        if tok.text == "false":
+            return BOT
+        if tok.text != "(":
+            raise ParseError(f"expected a formula, found {tok.text!r}",
+                             tok.line, tok.column)
+        head = self.next("a connective, quantifier or relation")
+        if head.text in ("exists", "forall"):
+            self.expect("(")
+            names = [self.variable()]
+            while self.peek() is not None and self.peek().text != ")":
+                names.append(self.variable())
+            self.expect(")")
+            body = self.formula()
+            self.expect(")")
+            ctor = Exists if head.text == "exists" else Forall
+            for name in reversed(names):
+                body = ctor(name, body)
+            return body
+        if head.text in ("and", "or"):
+            children = [self.formula()]
+            while self.peek() is not None and self.peek().text != ")":
+                children.append(self.formula())
+            self.expect(")")
+            if len(children) == 1:
+                return children[0]
+            ctor = And if head.text == "and" else Or
+            return ctor(tuple(children))
+        if head.text == "not":
+            inner = self.next("an atom")
+            if inner.text != "(":
+                raise ParseError(
+                    f"negation applies to atoms only, found {inner.text!r}",
+                    inner.line, inner.column)
+            atom = self.atom(negated=True)
+            self.expect(")")
+            return atom
+        # plain atom: we already consumed "(" and the head
+        return self.finish_atom(head, negated=False)
+
+    def atom(self, negated: bool):
+        head = self.next("a relation name")
+        return self.finish_atom(head, negated)
+
+    def finish_atom(self, head: _Token, negated: bool):
+        if head.text == "=":
+            a = self.variable()
+            b = self.variable()
+            self.expect(")")
+            return Literal(not negated, "=", (a, b))
+        ok_name = NAME_RE.match(head.text) or head.text == "<="
+        if not ok_name or head.text in RESERVED_NAMES:
+            raise ParseError(f"expected a relation name, found {head.text!r}",
+                             head.line, head.column)
+        if head.text not in self.vocab:
+            raise ParseError(f"unknown relation {head.text!r}",
+                             head.line, head.column)
+        args = []
+        while self.peek() is not None and self.peek().text != ")":
+            args.append(self.variable())
+        close = self.expect(")")
+        want = self.vocab.arity(head.text)
+        if len(args) != want:
+            raise ParseError(
+                f"relation {head.text!r} expects {want} argument(s), got {len(args)}",
+                head.line, head.column)
+        return Literal(not negated, head.text, tuple(args))
+
+
+def _ref_parse_formula(text: str, vocab: Vocabulary):
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty input", 1, 1)
+    parser = _Parser(tokens, vocab, text)
+    f = parser.formula()
+    extra = parser.peek()
+    if extra is not None:
+        raise ParseError(f"trailing input {extra.text!r}", extra.line, extra.column)
+    return alpha_normalize(f)
+
+
+VT = Vocabulary({"E": 2, "U": 1, "<=": 2})
+# Pieces of token soups: grammar words and fragments, relation names in and
+# out of VT, and characters that are not tokens (a lone "<", digits,
+# non-ASCII letters, NUL) or are whitespace other than " " and "\n".
+_SOUP = ("(", ")", "(", ")", "and", "or", "not", "exists", "forall", "true",
+         "false", "=", "<=", "<", "E", "U", "F", "x", "y", "x1", "_z", "1",
+         "é", "\x00", "(exists (x y)", "(forall (x)", "(and", "(or",
+         "(not", "(E x y)", "(U x)", "(= x y)", "(<= x y)", "(not (U y))")
+_SPACES = (" ", " ", " ", "", "\n", "\r\n", "\t", "\x0b", "\x1c", " ",
+           " ", "　", "  \n ")
+
+
+def _parser_inputs(rng, formulas, count):
+    """``count`` texts: token soups, and printed ``formulas`` re-wrapped in
+    other whitespace, then either kept, truncated (sometimes with trailing
+    whitespace) or mutated one token or character away."""
+    texts = []
+    for i in range(count):
+        if i % 3 == 0:
+            texts.append("".join(rng.choice(_SOUP) + rng.choice(_SPACES)
+                                 for _ in range(rng.randint(0, 12))))
+            continue
+        text = print_formula(rng.choice(formulas))
+        text = "".join(rng.choice(_SPACES) if ch == " " and
+                       rng.random() < 0.3 else ch for ch in text)
+        action = rng.randrange(4)
+        if action == 1:
+            text = text[:rng.randrange(len(text) + 1)] + \
+                rng.choice(("", "", " ", "\n", " \n\t"))
+        elif action == 2:
+            words = re.findall(r"\(|\)|[^\s()]+|\s+", text)
+            j = rng.randrange(len(words))
+            pick = rng.randrange(4)
+            if pick == 0:
+                del words[j]
+            elif pick == 1:
+                words.insert(j, words[j])
+            elif pick == 2:
+                words[j] = rng.choice(_SOUP)
+            else:
+                words.append(" " + rng.choice(_SOUP))
+            text = "".join(words)
+        elif action == 3:
+            j = rng.randrange(len(text) + 1)
+            text = text[:j] + rng.choice(_SOUP + _SPACES) + text[j:]
+        texts.append(text)
+    return texts
+
+
+def _outcome(parse, text, vocab):
+    try:
+        return parse(text, vocab)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def test_parser_matches_reference():
+    from random import Random
+
+    from test_acceptance import formula_suite
+
+    formulas = [f for _, _, f, _ in formula_suite(VE, count=200)]
+    formulas += [random_formula(("sigma", "pi")[s % 2], 2, 3, VT,
+                                free_vars=("v1", "v2")[:s % 3], seed=s)
+                 for s in range(200)]
+    texts = _parser_inputs(Random(12), formulas, 6000)
+    texts += [print_formula(f) for f in formulas]
+    seen = set()
+    for text in texts:
+        got = _outcome(parse_formula, text, VT)
+        want = _outcome(_ref_parse_formula, text, VT)
+        assert got == want, text
+        seen.add(want[0] if type(want) is tuple else "ok")
+    # successes and every kind of error occur
+    for kind in ("ok", "unexpected character", "end of input", "trailing",
+                 "empty input", "expected '('", "expected ')'", "unknown",
+                 "expects", "negation", "relation name", "a variable",
+                 "a formula"):
+        assert any(kind in message for message in seen), kind

@@ -133,6 +133,16 @@ def test_json_loader_validates():
         structure_from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("arity", [True, False, 0, -1, 1.0, "2"])
+def test_json_loader_rejects_bad_arities(arity):
+    # a bool is an int in Python, but True is no arity
+    with pytest.raises(ValidationError, match="^bad arity for 'E': "):
+        structure_from_json({"vocabulary": {"E": arity}, "universe": ["a"],
+                             "relations": {}})
+    with pytest.raises(ValidationError, match="^bad arity for 'E': "):
+        Vocabulary({"E": arity})
+
+
 @pytest.mark.parametrize("universe, relations", [
     ("ab", {}),                      # universe as a string
     (["a", "b"], {"U": "ab"}),       # row list as a string
