@@ -7,8 +7,8 @@ formula classes over finite test beds.
 
 from .errors import (BudgetExceeded, CapExceeded, FvError, ParseError,
                      ValidationError)
-from .formula import (And, Bot, Classification, Exists, Forall, Formula,
-                      Literal, Or, Top, TOP, BOT, Vocabulary, alpha_normalize,
+from .formula import (And, Classification, Exists, Forall, Formula,
+                      Literal, Or, TOP, BOT, Vocabulary, alpha_normalize,
                       block_uniform, classify, formula_size, free_variables,
                       in_pi, in_sigma, is_quantifier_free, negate_dual,
                       parse_formula, print_formula, quantifier_rank,
@@ -23,7 +23,7 @@ from .interp import (Interpretation, SumLikeOp, apply_interpretation,
                      apply_sum_like, builtin, interpretation_from_json,
                      interpretation_to_json, load_interpretation,
                      transform_formula)
-from .decompose import (PAnd, PBot, POr, PTop, PVar, P_BOT, P_TOP,
+from .decompose import (PAnd, POr, PVar, P_BOT, P_TOP,
                         PropFormula, ReductionSequence, VarPartition,
                         decompose, decompose_over_op, eval_prop,
                         eval_reduction, normalize_pairs, prop_from_json,
@@ -40,13 +40,13 @@ from .cli import run
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "Bot", "BudgetExceeded", "BOT", "CapExceeded", "Classification",
+    "And", "BudgetExceeded", "BOT", "CapExceeded", "Classification",
     "EnumerationCaps", "Exists", "Forall",
     "Formula", "FvError", "GameConfig", "Interpretation", "Literal", "MARK",
-    "Or", "PAnd", "PBot", "POr", "PTop", "PVar", "P_BOT", "P_TOP",
+    "Or", "PAnd", "POr", "PVar", "P_BOT", "P_TOP",
     "ParseError", "PI", "Player", "PropFormula", "ReductionSequence",
     "SIGMA", "SemanticClass", "Structure", "SumLikeOp",
-    "TOP", "TestBed", "Top", "ValidationError", "VarPartition",
+    "TOP", "TestBed", "ValidationError", "VarPartition",
     "Vocabulary", "alpha_normalize", "annotated_disjoint_union",
     "apply_interpretation", "apply_sum_like", "assignment_from_json",
     "assignment_to_json", "block_uniform", "builtin", "classify",

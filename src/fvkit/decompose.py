@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Union
 
 from .errors import ValidationError
-from .formula import (And, Bot, Exists, Forall, Formula, Literal, Or, Top,
+from .formula import (And, Exists, Forall, Formula, Literal, Or,
                       TOP, BOT, Vocabulary, alpha_normalize, formula_size,
                       _parse, free_variables, is_quantifier_free,
                       print_formula)
@@ -65,16 +65,6 @@ class PVar:
 
 
 @dataclass(frozen=True)
-class PTop:
-    pass
-
-
-@dataclass(frozen=True)
-class PBot:
-    pass
-
-
-@dataclass(frozen=True)
 class PAnd:
     children: tuple["PropFormula", ...]
 
@@ -84,14 +74,15 @@ class POr:
     children: tuple["PropFormula", ...]
 
 
-PropFormula = Union[PVar, PTop, PBot, PAnd, POr]
+PropFormula = Union[PVar, PAnd, POr]
 
-P_TOP = PTop()
-P_BOT = PBot()
+# true and false are the empty conjunction and the empty disjunction
+P_TOP = PAnd(())
+P_BOT = POr(())
 
 
 def prop_size(p: PropFormula) -> int:
-    if isinstance(p, (PVar, PTop, PBot)):
+    if isinstance(p, PVar):
         return 1
     return 1 + sum(prop_size(c) for c in p.children)
 
@@ -99,8 +90,6 @@ def prop_size(p: PropFormula) -> int:
 def prop_vars(p: PropFormula) -> set[tuple[int, int]]:
     if isinstance(p, PVar):
         return {(p.index, p.side)}
-    if isinstance(p, (PTop, PBot)):
-        return set()
     out: set[tuple[int, int]] = set()
     for c in p.children:
         out |= prop_vars(c)
@@ -115,10 +104,6 @@ def eval_prop(p: PropFormula, zeta) -> bool:
 def _compile_prop(p: PropFormula):
     """p as a closure ``zeta -> bool`` that asks zeta for its variables in
     child order and stops at the first child that decides."""
-    if isinstance(p, PTop):
-        return lambda zeta: True
-    if isinstance(p, PBot):
-        return lambda zeta: False
     if isinstance(p, PVar):
         index, side = p.index, p.side
         return lambda zeta: bool(zeta(index, side))
@@ -139,12 +124,11 @@ def _compile_prop(p: PropFormula):
 
 
 def prop_to_json(p: PropFormula) -> dict:
-    if isinstance(p, PTop):
-        return {"const": True}
-    if isinstance(p, PBot):
-        return {"const": False}
+    """JSON form; an empty junction is written as its constant."""
     if isinstance(p, PVar):
         return {"var": [p.index, p.side]}
+    if not p.children:
+        return {"const": p == P_TOP}
     key = "and" if isinstance(p, PAnd) else "or"
     return {key: [prop_to_json(c) for c in p.children]}
 
@@ -332,17 +316,15 @@ def _distribute(p: PropFormula, delta1: tuple[Formula, ...],
     :class:`_Pairs` in place of the pair-form beta over their own factors.
     """
     conj = mode == SIGMA
-    neutral_t = Top if conj else Bot
-    absorb_t = Bot if conj else Top
-    unit_t = PTop if conj else PBot      # one empty block
+    neutral, absorb = (TOP, BOT) if conj else (BOT, TOP)
     ids: tuple[dict[Formula, int], ...] = ({}, {})
     factors: list[tuple[int, Formula]] = []
     empty = {0: ()}
 
     def leaf(side: int, g: Formula) -> dict[int, tuple[int, ...]]:
-        if isinstance(g, neutral_t):
+        if g == neutral:
             return empty
-        if isinstance(g, absorb_t):
+        if g == absorb:
             return {}
         i = ids[side - 1].get(g)
         if i is None:
@@ -383,8 +365,6 @@ def _distribute(p: PropFormula, delta1: tuple[Formula, ...],
             if len(q.delta1) == 1:
                 return next(pairs)
             return junction(not pair_and, pairs)
-        if isinstance(q, (PTop, PBot)):
-            return empty if isinstance(q, unit_t) else {}
         return junction(isinstance(q, PAnd), (rec(c) for c in q.children))
 
     out = []
@@ -439,26 +419,8 @@ def normalize_pairs(d: ReductionSequence, mode: str) -> ReductionSequence:
 
 
 def _in_pair_form(d: ReductionSequence, mode: str) -> bool:
-    outer_t, pair_t = (POr, PAnd) if mode == SIGMA else (PAnd, POr)
-    count = len(d.delta1)
-    if len(d.delta2) != count:
-        return False
-    if count == 1 and isinstance(d.beta, pair_t):
-        blocks: tuple = (d.beta,)
-    elif isinstance(d.beta, outer_t):
-        blocks = d.beta.children
-        if len(blocks) != count:
-            return False
-    else:
-        return False
-    for i, c in enumerate(blocks):
-        if not isinstance(c, pair_t) or len(c.children) != 2:
-            return False
-        a, b = c.children
-        if not (isinstance(a, PVar) and a == PVar(i, 1)
-                and isinstance(b, PVar) and b == PVar(i, 2)):
-            return False
-    return True
+    return len(d.delta2) == len(d.delta1) and \
+        d.beta == _pair_beta(len(d.delta1), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +466,9 @@ def decompose_over_op(f: Formula, op: SumLikeOp,
     return decompose(transform_formula(op.interp, f), partition)
 
 
-# An engine result: P_TOP, P_BOT, a _Pairs, or -- for a quantifier-free
+# An engine result: a _Pairs or -- for a constant or a quantifier-free
 # connective -- a PAnd/POr whose children are the children's results.
-_Part = Union[PTop, PBot, PAnd, POr, _Pairs]
+_Part = Union[PAnd, POr, _Pairs]
 
 
 class _Engine:
@@ -536,10 +498,6 @@ class _Engine:
         return hit
 
     def _build(self, f: Formula) -> _Part:
-        if isinstance(f, Top):
-            return P_TOP
-        if isinstance(f, Bot):
-            return P_BOT
         if isinstance(f, Literal):
             return self._literal(f)
         if isinstance(f, (And, Or)):
@@ -596,8 +554,6 @@ def _place(q: _Part, delta1: list[Formula],
         delta1.extend(q.delta1)
         delta2.extend(q.delta2)
         return beta
-    if isinstance(q, (PTop, PBot)):
-        return q
     return type(q)(tuple(_place(c, delta1, delta2) for c in q.children))
 
 
@@ -684,7 +640,7 @@ def simplify_reduction(d: ReductionSequence) -> ReductionSequence:
 
 
 def _fold(p: PropFormula) -> PropFormula:
-    if isinstance(p, (PVar, PTop, PBot)):
+    if isinstance(p, PVar):
         return p
     # the junction's absorbing constant and its unit
     zero, unit = (P_BOT, P_TOP) if isinstance(p, PAnd) else (P_TOP, P_BOT)
@@ -703,6 +659,4 @@ def _renumber(p: PropFormula, remap1: dict[int, int],
     if isinstance(p, PVar):
         remap = remap1 if p.side == 1 else remap2
         return PVar(remap[p.index], p.side)
-    if isinstance(p, (PTop, PBot)):
-        return p
     return type(p)(tuple(_renumber(c, remap1, remap2) for c in p.children))

@@ -1,8 +1,8 @@
 """First-order formulas in negation normal form.
 
-The AST is deliberately small: literals (optionally negated atoms), the
-constants true/false, n-ary conjunction and disjunction, and single-variable
-quantifiers.  Multi-variable quantifier blocks in the concrete syntax are
+The AST is deliberately small: literals (optionally negated atoms), n-ary
+conjunction and disjunction, whose empty forms are the constants true and
+false, and single-variable quantifiers.  Multi-variable quantifier blocks in the concrete syntax are
 desugared to nested single-variable nodes at parse time.
 
 Formulas are classified into the tree-prefix hierarchy: ``sigma_level`` is the
@@ -119,31 +119,13 @@ class Literal:
 
 
 @_node
-class Top:
-    """The constant true."""
-
-
-@_node
-class Bot:
-    """The constant false."""
-
-
-@_node
 class And:
     children: tuple["Formula", ...]
-
-    def __post_init__(self) -> None:
-        if not self.children:
-            raise ValidationError("empty conjunction")
 
 
 @_node
 class Or:
     children: tuple["Formula", ...]
-
-    def __post_init__(self) -> None:
-        if not self.children:
-            raise ValidationError("empty disjunction")
 
 
 @_node
@@ -158,10 +140,11 @@ class Forall:
     body: "Formula"
 
 
-Formula = Union[Literal, Top, Bot, And, Or, Exists, Forall]
+Formula = Union[Literal, And, Or, Exists, Forall]
 
-TOP = Top()
-BOT = Bot()
+# true and false are the empty conjunction and the empty disjunction
+TOP = And(())
+BOT = Or(())
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +165,8 @@ def free_variables(f: Formula) -> tuple[str, ...]:
             for c in f.children:
                 seen.update(dict.fromkeys(free_variables(c)))
             fv = tuple(seen)
-        elif isinstance(f, (Exists, Forall)):
-            fv = tuple(v for v in free_variables(f.body) if v != f.var)
         else:
-            fv = ()
+            fv = tuple(v for v in free_variables(f.body) if v != f.var)
         object.__setattr__(f, "_free", fv)
     return fv
 
@@ -209,17 +190,14 @@ def print_formula(f: Formula) -> str:
     ``parse_formula(print_formula(f), vocab) == f`` for every formula that
     satisfies the AST conventions (no unary and/or, normalized bound names).
     """
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
     if isinstance(f, Literal):
         atom = "(" + " ".join((f.relation,) + f.args) + ")"
         return atom if f.positive else f"(not {atom})"
-    if isinstance(f, And):
-        return "(and " + " ".join(print_formula(c) for c in f.children) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(print_formula(c) for c in f.children) + ")"
+    if isinstance(f, (And, Or)):
+        if not f.children:
+            return "true" if f == TOP else "false"
+        head = "(and " if isinstance(f, And) else "(or "
+        return head + " ".join(print_formula(c) for c in f.children) + ")"
     if isinstance(f, Exists):
         return f"(exists ({f.var}) {print_formula(f.body)})"
     if isinstance(f, Forall):
@@ -371,10 +349,12 @@ def alpha_normalize(f: Formula) -> Formula:
         if isinstance(g, Literal):
             args = tuple(env.get(a, a) for a in g.args)
             return g if args == g.args else Literal(g.positive, g.relation, args)
-        if isinstance(g, (Top, Bot)):
-            return g
         if isinstance(g, (And, Or)):
-            children = tuple(walk(c, env) for c in g.children)
+            # a plain loop: a generator expression costs a second frame
+            kids = []
+            for c in g.children:
+                kids.append(walk(c, env))
+            children = tuple(kids)
             if children == g.children:
                 return g
             return type(g)(children)
@@ -397,8 +377,6 @@ def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
     if isinstance(f, Literal):
         args = tuple(mapping.get(a, a) for a in f.args)
         return f if args == f.args else Literal(f.positive, f.relation, args)
-    if isinstance(f, (Top, Bot)):
-        return f
     if isinstance(f, (And, Or)):
         return type(f)(tuple(substitute(c, mapping) for c in f.children))
     inner = {k: v for k, v in mapping.items() if k != f.var}
@@ -412,10 +390,6 @@ def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
 def negate_dual(f: Formula) -> Formula:
     """Negation by duality: stays in negation normal form, is an involution,
     and swaps the existential and universal classification levels."""
-    if isinstance(f, Top):
-        return BOT
-    if isinstance(f, Bot):
-        return TOP
     if isinstance(f, Literal):
         return Literal(not f.positive, f.relation, f.args)
     if isinstance(f, And):
@@ -484,10 +458,8 @@ def _shape(f: Formula) -> tuple[int, int, int, int, int, int]:
             else:
                 level = pi or 1
                 shape = (size + 1, rank + 1, level + 1, level, root, below)
-        elif isinstance(f, Literal):
-            shape = (1 + len(f.args), 0, 0, 0, 0, 0)
         else:
-            shape = (1, 0, 0, 0, 0, 0)
+            shape = (1 + len(f.args), 0, 0, 0, 0, 0)
         object.__setattr__(f, "_shape", shape)
     return shape
 

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .formula import (And, Bot, Exists, Forall, Formula, Literal, Or, Top,
+from .formula import (And, Exists, Forall, Formula, Literal, Or, TOP,
                       Vocabulary, free_variables, is_quantifier_free,
                       negate_dual, parse_formula, print_formula, subformulas,
                       substitute, vocabulary_from_json, vocabulary_to_json)
@@ -89,9 +89,16 @@ def interpretation_from_json(data: dict) -> Interpretation:
             raise ValidationError(f"interpretation JSON lacks {key!r}")
     source = vocabulary_from_json(data["source_vocabulary"])
     target = vocabulary_from_json(data["target_vocabulary"])
+    texts = data["relation_formulas"]
+    if not isinstance(texts, dict):
+        raise ValidationError("relation_formulas must be an object")
+    for what, text in [("universe_formula", data["universe_formula"]),
+                       *texts.items()]:
+        if not isinstance(text, str):
+            raise ValidationError(f"formula for {what!r} must be a string, "
+                                  f"got {text!r}")
     universe = parse_formula(data["universe_formula"], source)
-    rels = {name: parse_formula(text, source)
-            for name, text in data["relation_formulas"].items()}
+    rels = {name: parse_formula(text, source) for name, text in texts.items()}
     return Interpretation(source, target, universe, rels)
 
 
@@ -141,8 +148,6 @@ def _guard(xi: Interpretation, var: str) -> Formula:
 
 
 def _transform(xi: Interpretation, f: Formula) -> Formula:
-    if isinstance(f, (Top, Bot)):
-        return f
     if isinstance(f, Literal):
         if f.relation == "=":
             base: Formula = Literal(True, "=", ("y1", "y2"))
@@ -167,7 +172,9 @@ def _transform(xi: Interpretation, f: Formula) -> Formula:
     guards = tuple(_guard(xi, v) for v in names)
     if kind is Forall:
         guards = tuple(negate_dual(g) for g in guards)
-    inner = body.children if isinstance(body, junction) else (body,)
+    # a constant body (an empty junction) stays one child, printed as such
+    inner = body.children if isinstance(body, junction) and body.children \
+        else (body,)
     wrapped: Formula = junction(
         guards + tuple(_transform(xi, c) for c in inner))
     for name in reversed(names):
@@ -220,6 +227,9 @@ def builtin(name: str, params: dict | None = None) -> SumLikeOp:
       label classes Q1..Qr, cross edges added left-to-right for each
       linked label pair.
     """
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError(f"operation parameters must be an object, "
+                              f"got {params!r}")
     params = dict(params or {})
     if name == "disjoint-union":
         target = Vocabulary(dict(params.pop("vocabulary", {"E": 2})))
@@ -239,17 +249,25 @@ def builtin(name: str, params: dict | None = None) -> SumLikeOp:
     elif name == "nlc-sum":
         if "r" not in params:
             raise ValidationError("nlc-sum needs params {'r': ..., 'links': ...}")
-        r = int(params.pop("r"))
-        links = [(int(i), int(j)) for i, j in params.pop("links", [])]
-        if r < 1:
-            raise ValidationError("nlc-sum needs r >= 1")
-        for i, j in links:
+        r = params.pop("r")
+        links = params.pop("links", [])
+        # a bool is an int, but True is no label count or label
+        if type(r) is not int or r < 1:
+            raise ValidationError(f"nlc-sum needs an int r >= 1, got {r!r}")
+        if not isinstance(links, (list, tuple)):
+            raise ValidationError(f"nlc-sum links must be a list, got {links!r}")
+        for link in links:
+            if not (isinstance(link, (list, tuple)) and len(link) == 2
+                    and all(type(i) is int for i in link)):
+                raise ValidationError(
+                    f"nlc-sum link {link!r} is not a pair of ints")
+            i, j = link
             if not (1 <= i <= r and 1 <= j <= r):
                 raise ValidationError(f"link ({i}, {j}) outside 1..{r}")
         target = Vocabulary({"E": 2} | {f"Q{i}": 1 for i in range(1, r + 1)})
         cross = [And((_lit(MARK, "y1"), _lit(f"Q{i}", "y1"),
                       _neg(MARK, "y2"), _lit(f"Q{j}", "y2")))
-                 for i, j in sorted(set(links))]
+                 for i, j in sorted(set(map(tuple, links)))]
         rels = {f"Q{i}": _lit(f"Q{i}", "y1") for i in range(1, r + 1)}
         rels["E"] = Or(tuple([_lit("E", "y1", "y2")] + cross)) if cross \
             else _lit("E", "y1", "y2")
@@ -258,5 +276,5 @@ def builtin(name: str, params: dict | None = None) -> SumLikeOp:
     if params:
         raise ValidationError(f"unexpected parameters {sorted(params)}")
     source = Vocabulary(dict(target.relations) | {MARK: 1})
-    xi = Interpretation(source, target, Top(), rels)
+    xi = Interpretation(source, target, TOP, rels)
     return SumLikeOp(name, xi)

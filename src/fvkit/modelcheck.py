@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .errors import BudgetExceeded, ValidationError
-from .formula import (And, Bot, Exists, Forall, Formula, Literal, Or, Top,
+from .formula import (And, Exists, Forall, Formula, Literal, Or,
                       free_variables)
 from .structure import Structure
 
@@ -89,10 +89,6 @@ def _make(g: Formula) -> Compiled:
     """One node's closure, from its fields and its children's closures."""
     if isinstance(g, Literal):
         return _literal(g.positive, g.relation, g.args)
-    if isinstance(g, Top):
-        return _true
-    if isinstance(g, Bot):
-        return _false
     if isinstance(g, And):
         return _and(tuple(c._ev for c in g.children))
     if isinstance(g, Or):
@@ -102,14 +98,6 @@ def _make(g: Formula) -> Compiled:
     if isinstance(g, Forall):
         return _forall(g.var, g.body._ev)
     raise TypeError(f"not a formula: {g!r}")
-
-
-def _true(structure: Structure, asg: dict, budget: list) -> bool:
-    return True
-
-
-def _false(structure: Structure, asg: dict, budget: list) -> bool:
-    return False
 
 
 def _exhausted(budget: list) -> BudgetExceeded:

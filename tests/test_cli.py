@@ -222,6 +222,40 @@ def test_usage_errors(files, capsys):
     assert run(["nosuchcommand"]) == 2
 
 
+@pytest.mark.parametrize("params, message", [
+    ([1, 2], "operation parameters must be an object, got [1, 2]"),
+    ({"r": "x"}, "nlc-sum needs an int r >= 1, got 'x'"),
+    ({"r": 2, "links": [[1]]}, "nlc-sum link [1] is not a pair of ints"),
+    ({"r": True}, "nlc-sum needs an int r >= 1, got True"),
+    ({"r": 2, "links": 5}, "nlc-sum links must be a list, got 5"),
+], ids=["list", "string-r", "one-element-link", "bool-r", "number-links"])
+def test_bad_nlc_sum_parameters_are_input_errors(params, message, tmp_path,
+                                                 capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    assert run(["decompose", "--formula", "(exists (z) (E z z))",
+                "--op", f"nlc-sum:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("change", [
+    {"relation_formulas": ["(E y1 y2)"]}, {"universe_formula": 5},
+    {"relation_formulas": {"E": ["E", "y1", "y2"]}},
+], ids=["list-relation-formulas", "number-universe", "list-formula"])
+def test_bad_interpretation_json_is_an_input_error(change, tmp_path, capsys):
+    xi = tmp_path / "xi.json"
+    xi.write_text(json.dumps({
+        "source_vocabulary": {"E": 2}, "target_vocabulary": {"E": 2},
+        "universe_formula": "true",
+        "relation_formulas": {"E": "(E y1 y2)"}} | change))
+    assert run(["transform", "--interp", str(xi),
+                "--formula", "(exists (z) (E z z))"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "must be" in captured.err
+
+
 def test_eval_rejects_string_universe(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"vocabulary": {"U": 1}, "universe": "ab",

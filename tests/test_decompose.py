@@ -10,13 +10,14 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (MARK, Bot, BudgetExceeded, PAnd, PBot, POr, PTop, PVar,
-                   P_BOT, P_TOP, ReductionSequence, SIGMA, Structure, Top,
+from fvkit import (BOT, MARK, BudgetExceeded, PAnd, POr, PVar,
+                   P_BOT, P_TOP, ReductionSequence, SIGMA, Structure, TOP,
                    ValidationError, VarPartition, Vocabulary,
                    annotated_disjoint_union, builtin, classify, decompose,
                    decompose_over_op, evaluate, eval_prop, eval_reduction,
                    free_variables, normalize_pairs, parse_formula,
-                   print_formula, prop_to_json, quantifier_rank,
+                   print_formula, prop_from_json, prop_to_json,
+                   quantifier_rank,
                    random_formula, reduction_from_json, reduction_stats,
                    reduction_to_json, simplify_reduction)
 from conftest import (all_structures, linear_order, merged_assignment,
@@ -44,29 +45,29 @@ def test_atom_one_sided():
 def test_atom_mixed_sides():
     d = decompose(parse_formula("(E x y)", VE), VarPartition(("x",), ("y",)))
     assert d.delta1 == () and d.delta2 == ()
-    assert d.beta == PBot()
+    assert d.beta == P_BOT
     assert reduction_stats(d)["total_size"] == 1
     neg = decompose(parse_formula("(not (E x y))", VE),
                     VarPartition(("x",), ("y",)))
-    assert neg.beta == PTop()
+    assert neg.beta == P_TOP
 
 
 def test_equality_decomposes_like_atoms():
     same = decompose(parse_formula("(= x y)", VE), VarPartition(("x", "y"), ()))
     assert [print_formula(g) for g in same.delta1] == ["(= x y)"]
     mixed = decompose(parse_formula("(= x y)", VE), VarPartition(("x",), ("y",)))
-    assert mixed.beta == PBot()
+    assert mixed.beta == P_BOT
     mixed_neg = decompose(parse_formula("(not (= x y))", VE),
                           VarPartition(("x",), ("y",)))
-    assert mixed_neg.beta == PTop()
+    assert mixed_neg.beta == P_TOP
 
 
 def test_marker_literals():
     f = parse_formula("(P x)", VEP)
-    assert decompose(f, VarPartition(("x",), ())).beta == PTop()
-    assert decompose(f, VarPartition((), ("x",))).beta == PBot()
+    assert decompose(f, VarPartition(("x",), ())).beta == P_TOP
+    assert decompose(f, VarPartition((), ("x",))).beta == P_BOT
     g = parse_formula("(not (P x))", VEP)
-    assert decompose(g, VarPartition((), ("x",))).beta == PTop()
+    assert decompose(g, VarPartition((), ("x",))).beta == P_TOP
     # factors never mention the marker; the reduction vocab drops it
     d = decompose(parse_formula("(and (P x) (E x x))", VEP),
                   VarPartition(("x",), ()))
@@ -305,7 +306,14 @@ def test_simplify_reduction():
         VarPartition((), ()), VE)
     assert len(simplify_reduction(dead).delta1) == 1  # false factor drops
     bot = ReductionSequence((), (), POr(()), VarPartition((), ()), VE)
-    assert simplify_reduction(bot).beta == PBot()
+    assert simplify_reduction(bot).beta == P_BOT
+    # one pair in its outer junction is not pair form: beta folds to the
+    # bare pair, but the false factor stays
+    wrapped = ReductionSequence(
+        (parse_formula("false", VE),), (top,),
+        POr((PAnd((PVar(0, 1), PVar(0, 2))),)), VarPartition((), ()), VE)
+    slim = simplify_reduction(wrapped)
+    assert slim.delta1 == (BOT,) and slim.beta == PAnd((PVar(0, 1), PVar(0, 2)))
     for d in (dup, dead):
         slim = simplify_reduction(d)
         for a, b in itertools.product(all_structures(VE, 2), repeat=2):
@@ -346,6 +354,12 @@ def test_reduction_json_round_trip():
     assert data["beta"]["or"][0] == {"and": [{"var": [0, 1]}, {"var": [0, 2]}]}
     back = reduction_from_json(data)
     assert back.delta1 == d.delta1 and back.beta == d.beta
+    assert prop_to_json(P_BOT) == {"const": False}
+    assert prop_to_json(POr((PVar(0, 1), P_TOP))) == \
+        {"or": [{"var": [0, 1]}, {"const": True}]}
+    # files that spell a constant as an empty junction still load
+    assert prop_from_json({"or": []}) == P_BOT
+    assert prop_from_json({"and": []}) == P_TOP
 
 
 @st.composite
@@ -452,14 +466,14 @@ def reference_prune(blocks):
 
 def reference_distribute(p, delta1, delta2, mode):
     conj = mode == SIGMA
-    neutral_t = Top if conj else Bot
-    absorb_t = Bot if conj else Top
+    neutral = TOP if conj else BOT
+    absorb = BOT if conj else TOP
 
     def add(state, var):
         g = (delta1 if var.side == 1 else delta2)[var.index]
-        if isinstance(g, neutral_t):
+        if g == neutral:
             return state
-        if isinstance(g, absorb_t):
+        if g == absorb:
             return None
         left, right = state
         if var.side == 1:
@@ -473,8 +487,8 @@ def reference_distribute(p, delta1, delta2, mode):
         right.extend(g for g in t[1] if g not in right)
         return tuple(left), tuple(right)
 
-    unit_t = PTop if conj else PBot
-    void_t = PBot if conj else PTop
+    unit = P_TOP if conj else P_BOT
+    void = P_BOT if conj else P_TOP
     spread_t = POr if conj else PAnd
     empty = ((), ())
 
@@ -482,9 +496,9 @@ def reference_distribute(p, delta1, delta2, mode):
         if isinstance(q, PVar):
             st = add(empty, q)
             return [st] if st is not None else []
-        if isinstance(q, unit_t):
+        if q == unit:
             return [empty]
-        if isinstance(q, void_t):
+        if q == void:
             return []
         if isinstance(q, spread_t):
             seen = {}
@@ -595,22 +609,23 @@ def reductions_digest(reductions):
 
 
 # sha256 of the reductions' JSON lines, plain and through simplify_reduction,
-# as the frozenset kernel produced them.
+# as the frozenset kernel produced them; beta writes a constant as
+# {"const": ...}.
 SUITE_DIGESTS = {
     "marked-union": (
-        "4bfb629ebc62fcbef1b93ee2d874ee8b0a9d364cd31f589debfdc123b1c21694",
+        "7557b3dc2c45f3e8b6bbe367974834fa4683fdcca7a121a4000557ed8562632c",
         "ef6ac0150090a968daaae646c0aedd845a33a12ba2537cc145ea86a31464686f"),
     "disjoint-union": (
-        "936ae86582e415e670a2eb9f1f3c6bad3a2cd3d2bb6cff0fbac4c3506514573d",
+        "5837c75de4e78616856436f3cc2d06a037af09fe5484866446f4e79f5b816a65",
         "e39843c73c55661d1d385305bcdcf35c6fb6a173afdb661088fe1002d972bca3"),
     "ordered-sum": (
-        "34434f9ae5bb82bd712fdffd22025b021ac47f1ac3c353e8d7bc0a29ece82160",
+        "1ecb1974d702c91f8fcae85419e4645179a3ec0a46d169ca965d1abdfa5330fa",
         "8648b644dd49277abb5a137199fc9884cf8b7502c758ec40b98f90c3c345917c"),
     "join": (
-        "4b5cd203a5fddc6dd5bfa9e4253e7e9a1e6359728d98ac5d22bcfd9f8b7baefa",
+        "76d77069ee948b40d2120b9e30cff039d45371a137c8a4eb437dfdde49b42dbc",
         "4ca4f4f123b746e1b653b1b675a52b20ede8a0f88c3083303c0d8c3ef7bbf53a"),
     "nlc-sum": (
-        "6eaddc928c7f481907fdd22f8ea64c517cb7deb1d79ff7d5eb4dc7c79032e0f6",
+        "f401c54dafd76c3c94b705661dfb7646267ded1b1dde99c0d1440b7bb8a7ee19",
         "ae4f99aca862e0d8ec71b47a3ab6fdbdb7389c90d48544776eb019bc56a43b4b"),
 }
 

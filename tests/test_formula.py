@@ -3,8 +3,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from fvkit import (And, BOT, Bot, Exists, Forall, Literal, Or, ParseError,
-                   Structure, TOP, Top, ValidationError, Vocabulary, classify,
+from fvkit import (And, BOT, Exists, Forall, Literal, Or, ParseError,
+                   Structure, TOP, ValidationError, Vocabulary, classify,
                    evaluate, formula_size, free_variables, is_quantifier_free,
                    negate_dual, parse_formula, print_formula, quantifier_rank,
                    random_formula)
@@ -31,8 +31,9 @@ def test_parse_multivar_quantifier_desugars():
 
 
 def test_parse_constants_and_equality():
-    assert parse_formula("true", VE) is TOP or parse_formula("true", VE) == Top()
-    assert parse_formula("false", VE) == Bot()
+    assert TOP == And(()) and BOT == Or(())
+    assert parse_formula("true", VE) == TOP
+    assert parse_formula("false", VE) == BOT
     assert parse_formula("(= x y)", VE) == Literal(True, "=", ("x", "y"))
 
 
@@ -50,8 +51,10 @@ def test_parse_errors_report_position():
 
 def test_print_examples():
     assert print_formula(Literal(True, "E", ("x", "y"))) == "(E x y)"
-    assert print_formula(Bot()) == "false"
-    assert print_formula(Exists("x", Top())) == "(exists (x) true)"
+    assert print_formula(BOT) == "false"
+    assert print_formula(And(())) == "true"
+    assert print_formula(Exists("x", TOP)) == "(exists (x) true)"
+    assert print_formula(Or((TOP, BOT))) == "(or true false)"
 
 
 def test_negate_dual_examples():
@@ -60,6 +63,7 @@ def test_negate_dual_examples():
     g = parse_formula("(exists (x) (and (U x)))", VU)
     # arity-1 and is flattened at parse, so the dual is the bare literal
     assert print_formula(negate_dual(g)) == "(forall (x) (not (U x)))"
+    assert negate_dual(TOP) == BOT and negate_dual(BOT) == TOP
 
 
 def test_classify_quantifier_free():
@@ -110,7 +114,7 @@ def _free_variables_walk(f):
 
 def _quantifier_free_walk(f):
     """The recursive walk is_quantifier_free used before it cached its flag."""
-    if isinstance(f, (Literal, Top, Bot)):
+    if isinstance(f, Literal) or f == TOP or f == BOT:
         return True
     if isinstance(f, (And, Or)):
         return all(_quantifier_free_walk(c) for c in f.children)
@@ -147,7 +151,7 @@ def test_node_caches_agree_with_structure():
             kinds.add(type(group[0]))
         if built[0] not in (TOP, BOT):  # the only shared nodes
             assert len({id(f) for f in built}) == 4
-    assert kinds == {Literal, Top, Bot, And, Or, Exists, Forall}
+    assert kinds == {Literal, And, Or, Exists, Forall}
 
 
 def test_node_caches_stay_out_of_fields_and_pickles():
@@ -263,7 +267,7 @@ def test_rank_level_gap(item):
 # cache, kept verbatim as the reference for the cached shape.
 
 def _ref_formula_size(f):
-    if isinstance(f, (Top, Bot)):
+    if f == TOP or f == BOT:
         return 1
     if isinstance(f, Literal):
         return 1 + len(f.args)
@@ -273,7 +277,7 @@ def _ref_formula_size(f):
 
 
 def _ref_depth(f):
-    if isinstance(f, (Literal, Top, Bot)):
+    if isinstance(f, Literal) or f == TOP or f == BOT:
         return 1
     if isinstance(f, (And, Or)):
         return 1 + max(_ref_depth(c) for c in f.children)
@@ -283,7 +287,7 @@ def _ref_depth(f):
 def _ref_in_sigma(f, level):
     if level == 0:
         return _quantifier_free_walk(f)
-    if isinstance(f, (Literal, Top, Bot)):
+    if isinstance(f, Literal) or f == TOP or f == BOT:
         return True
     if isinstance(f, Exists):
         return _ref_in_sigma(f.body, level)
@@ -296,7 +300,7 @@ def _ref_in_sigma(f, level):
 def _ref_in_pi(f, level):
     if level == 0:
         return _quantifier_free_walk(f)
-    if isinstance(f, (Literal, Top, Bot)):
+    if isinstance(f, Literal) or f == TOP or f == BOT:
         return True
     if isinstance(f, Forall):
         return _ref_in_pi(f.body, level)
@@ -306,7 +310,7 @@ def _ref_in_pi(f, level):
 
 
 def _ref_quantifier_rank(f):
-    if isinstance(f, (Literal, Top, Bot)):
+    if isinstance(f, Literal) or f == TOP or f == BOT:
         return 0
     if isinstance(f, (And, Or)):
         return max(_ref_quantifier_rank(c) for c in f.children)
@@ -402,21 +406,31 @@ def test_shape_matches_reference_walks():
     assert {(True, None), (True, 1), (True, 2), (False, 3)} <= nontrivial
 
 
-@pytest.mark.parametrize("kind", ["and", "alternating"])
+@pytest.mark.parametrize("kind", ["and", "alternating", "parsed and-or"])
 def test_shape_reads_deep_chains(kind):
     from fvkit import block_uniform, in_sigma
 
     lit = Literal(True, "E", ("x", "x"))
     f = lit
+    text = "(E x x)"
     for i in range(900):
         if kind == "and":
             f = And((Exists("x", lit), f))
+        elif kind == "parsed and-or":
+            text = f"({('and', 'or')[i % 2]} (exists (x) (E x x)) {text})"
         else:
             f = (Exists if i % 2 == 0 else Forall)("x", f)
     c = classify(f)
     if kind == "and":
         # each conjunction lifts the sigma level by two
         assert (c.sigma_level, c.pi_level, c.rank) == (1801, 1802, 1)
+        assert formula_size(f) == 3 + 5 * 900
+    elif kind == "parsed and-or":
+        # parse_formula renames the 900 bound x apart from the free one
+        f = parse_formula(text, VE)
+        c = classify(f)
+        # each junction lifts its own level by one over its chain child
+        assert (c.sigma_level, c.pi_level, c.rank) == (903, 902, 1)
         assert formula_size(f) == 3 + 5 * 900
     else:
         assert (c.sigma_level, c.pi_level, c.rank) == (901, 900, 900)
