@@ -8,9 +8,10 @@ formula classes over finite test beds.
 from .errors import (BudgetExceeded, CapExceeded, FvError, ParseError,
                      ValidationError)
 from .formula import (And, Classification, Exists, Forall, Formula,
-                      Literal, Or, TOP, BOT, Vocabulary, alpha_normalize,
-                      block_uniform, classify, formula_size, free_variables,
-                      in_pi, in_sigma, is_quantifier_free, negate_dual,
+                      Literal, Or, PI, SIGMA, TOP, BOT, Vocabulary,
+                      alpha_normalize, block_uniform, classify, formula_size,
+                      free_variables, in_pi, in_sigma, is_quantifier_free,
+                      negate_dual,
                       parse_formula, print_formula, quantifier_rank,
                       random_formula, substitute, vocabulary_from_json,
                       vocabulary_to_json)
@@ -23,8 +24,7 @@ from .interp import (Interpretation, SumLikeOp, apply_interpretation,
                      apply_sum_like, builtin, interpretation_from_json,
                      interpretation_to_json, load_interpretation,
                      transform_formula)
-from .decompose import (PAnd, POr, PVar, P_BOT, P_TOP,
-                        PropFormula, ReductionSequence, VarPartition,
+from .decompose import (PVar, PropFormula, ReductionSequence, VarPartition,
                         decompose, decompose_over_op, eval_prop,
                         eval_reduction, normalize_pairs, prop_from_json,
                         prop_size, prop_to_json, prop_vars,
@@ -32,7 +32,7 @@ from .decompose import (PAnd, POr, PVar, P_BOT, P_TOP,
                         reduction_to_json, simplify_reduction)
 from .efgame import (GameConfig, Player, find_separator, prefix_game_winner,
                      tree_prefix_game_winner)
-from .enumeration import (EnumerationCaps, PI, SIGMA, SemanticClass, TestBed,
+from .enumeration import (EnumerationCaps, SemanticClass, TestBed,
                           count_bound_check, enumerate_classes, tower,
                           transfer_oracle)
 from .cli import run
@@ -43,7 +43,7 @@ __all__ = [
     "And", "BudgetExceeded", "BOT", "CapExceeded", "Classification",
     "EnumerationCaps", "Exists", "Forall",
     "Formula", "FvError", "GameConfig", "Interpretation", "Literal", "MARK",
-    "Or", "PAnd", "POr", "PVar", "P_BOT", "P_TOP",
+    "Or", "PVar",
     "ParseError", "PI", "Player", "PropFormula", "ReductionSequence",
     "SIGMA", "SemanticClass", "Structure", "SumLikeOp",
     "TOP", "TestBed", "ValidationError", "VarPartition",

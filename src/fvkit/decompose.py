@@ -29,14 +29,14 @@ sequence, with its beta, is laid out once at the top.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import ValidationError
-from .formula import (And, Exists, Forall, Formula, Literal, Or,
+from .formula import (And, Exists, Forall, Formula, Literal, Or, PI, SIGMA,
                       TOP, BOT, Vocabulary, alpha_normalize, formula_size,
                       _parse, free_variables, is_quantifier_free,
-                      print_formula)
+                      print_formula, relations_used, vocabulary_from_json)
 from .interp import SumLikeOp, transform_formula
 from .modelcheck import DEFAULT_ATOM_BUDGET, _check_assignment, _compile
 from .structure import MARK, Structure
@@ -49,7 +49,8 @@ SIZE_BOUND_FACTOR = 4
 
 
 # ---------------------------------------------------------------------------
-# Propositional formulas over factor variables
+# Propositional formulas over factor variables: the formula AST's And and Or
+# (with TOP and BOT as the constants) over PVar leaves
 
 
 @dataclass(frozen=True)
@@ -63,22 +64,14 @@ class PVar:
         if self.side not in (1, 2) or self.index < 0:
             raise ValidationError(f"bad factor variable ({self.index}, {self.side})")
 
-
-@dataclass(frozen=True)
-class PAnd:
-    children: tuple["PropFormula", ...]
-
-
-@dataclass(frozen=True)
-class POr:
-    children: tuple["PropFormula", ...]
+    def _ev(self, zeta, asg, budget):
+        # The leaf's compiled form, so that ``modelcheck._compile`` compiles
+        # a beta like a formula: a beta's closure takes zeta in place of the
+        # structure, and no assignment or budget.
+        return zeta(self.index, self.side)
 
 
-PropFormula = Union[PVar, PAnd, POr]
-
-# true and false are the empty conjunction and the empty disjunction
-P_TOP = PAnd(())
-P_BOT = POr(())
+PropFormula = Union[PVar, And, Or]
 
 
 def prop_size(p: PropFormula) -> int:
@@ -97,30 +90,10 @@ def prop_vars(p: PropFormula) -> set[tuple[int, int]]:
 
 
 def eval_prop(p: PropFormula, zeta) -> bool:
-    """Evaluate under zeta: (index, side) -> bool."""
-    return _compile_prop(p)(zeta)
-
-
-def _compile_prop(p: PropFormula):
-    """p as a closure ``zeta -> bool`` that asks zeta for its variables in
-    child order and stops at the first child that decides."""
-    if isinstance(p, PVar):
-        index, side = p.index, p.side
-        return lambda zeta: bool(zeta(index, side))
-    kids = tuple([_compile_prop(c) for c in p.children])
-    if isinstance(p, PAnd):
-        def ev(zeta):
-            for kid in kids:
-                if not kid(zeta):
-                    return False
-            return True
-    else:
-        def ev(zeta):
-            for kid in kids:
-                if kid(zeta):
-                    return True
-            return False
-    return ev
+    """Evaluate under zeta: (index, side) -> bool.  Zeta is asked for the
+    variables in child order, and a junction stops at the first child that
+    decides.  The compiled beta is kept on its nodes, as for a formula."""
+    return bool((p._ev or _compile(p))(zeta, None, None))
 
 
 def prop_to_json(p: PropFormula) -> dict:
@@ -128,24 +101,26 @@ def prop_to_json(p: PropFormula) -> dict:
     if isinstance(p, PVar):
         return {"var": [p.index, p.side]}
     if not p.children:
-        return {"const": p == P_TOP}
-    key = "and" if isinstance(p, PAnd) else "or"
+        return {"const": p == TOP}
+    key = "and" if isinstance(p, And) else "or"
     return {key: [prop_to_json(c) for c in p.children]}
 
 
 def prop_from_json(data: dict) -> PropFormula:
+    """Inverse of :func:`prop_to_json`; an empty junction also loads."""
     if not isinstance(data, dict) or len(data) != 1:
         raise ValidationError(f"bad propositional formula JSON: {data!r}")
     (key, value), = data.items()
-    if key == "const":
-        return P_TOP if value else P_BOT
-    if key == "var":
-        index, side = value
-        return PVar(int(index), int(side))
-    if key in ("and", "or"):
-        ctor = PAnd if key == "and" else POr
-        return ctor(tuple(prop_from_json(c) for c in value))
-    raise ValidationError(f"bad propositional formula JSON key: {key!r}")
+    # a bool is an int, but True is no index and 1 is no constant
+    if key == "const" and type(value) is bool:
+        return TOP if value else BOT
+    if key == "var" and isinstance(value, list) and len(value) == 2 \
+            and all(type(v) is int for v in value):
+        return PVar(*value)
+    if key in ("and", "or") and isinstance(value, list):
+        return (And if key == "and" else Or)(
+            tuple(prop_from_json(c) for c in value))
+    raise ValidationError(f"bad propositional formula JSON: {data!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +153,6 @@ class ReductionSequence:
     beta: PropFormula
     partition: VarPartition
     vocab: Vocabulary
-
-    # eval_reduction's compiled beta: not a field, so ``==`` and ``repr``
-    # leave it out, and pickles drop it because closures do not pickle.
-    _ev = None
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __post_init__(self) -> None:
         for index, side in prop_vars(self.beta):
@@ -219,16 +187,32 @@ def reduction_to_json(d: ReductionSequence) -> dict:
     }
 
 
+def _strings(data: dict, key: str) -> tuple[str, ...]:
+    value = data[key]
+    if not (isinstance(value, list) and all(isinstance(t, str) for t in value)):
+        raise ValidationError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def reduction_from_json(data: dict) -> ReductionSequence:
-    """Inverse of :func:`reduction_to_json`, bound names included.  Each
-    factor's free variables must lie on its side of the partition."""
-    vocab = Vocabulary(dict(data["vocabulary"]))
+    """Inverse of :func:`reduction_to_json`, bound names included; the
+    ``stats`` key is not read.  Each factor's free variables must lie on its
+    side of the partition."""
+    if not isinstance(data, dict):
+        raise ValidationError("reduction JSON must be an object")
+    for key in ("delta1", "delta2", "beta", "partition", "vocabulary"):
+        if key not in data:
+            raise ValidationError(f"reduction JSON lacks {key!r}")
+    part = data["partition"]
+    if not (isinstance(part, dict) and "left" in part and "right" in part):
+        raise ValidationError(
+            f"partition must be an object with 'left' and 'right', got {part!r}")
+    vocab = vocabulary_from_json(data["vocabulary"])
     d = ReductionSequence(
-        delta1=tuple(_parse(t, vocab) for t in data["delta1"]),
-        delta2=tuple(_parse(t, vocab) for t in data["delta2"]),
+        delta1=tuple(_parse(t, vocab) for t in _strings(data, "delta1")),
+        delta2=tuple(_parse(t, vocab) for t in _strings(data, "delta2")),
         beta=prop_from_json(data["beta"]),
-        partition=VarPartition(tuple(data["partition"]["left"]),
-                               tuple(data["partition"]["right"])),
+        partition=VarPartition(_strings(part, "left"), _strings(part, "right")),
         vocab=vocab,
     )
     for bank, factors, side in (("delta1", d.delta1, d.partition.left),
@@ -244,9 +228,6 @@ def reduction_from_json(data: dict) -> ReductionSequence:
 
 # ---------------------------------------------------------------------------
 # Pair normal form
-
-SIGMA = "sigma"
-PI = "pi"
 
 
 _Block = tuple[tuple[Formula, ...], tuple[Formula, ...]]
@@ -365,7 +346,7 @@ def _distribute(p: PropFormula, delta1: tuple[Formula, ...],
             if len(q.delta1) == 1:
                 return next(pairs)
             return junction(not pair_and, pairs)
-        return junction(isinstance(q, PAnd), (rec(c) for c in q.children))
+        return junction(isinstance(q, And), (rec(c) for c in q.children))
 
     out = []
     for picks in rec(p).values():
@@ -386,12 +367,12 @@ def _build_factor(picked: tuple[Formula, ...], mode: str) -> Formula:
 def _pair_beta(count: int, mode: str, base: int = 0) -> PropFormula:
     """The pair-form beta over ``count`` factor pairs, the first of them at
     index ``base`` of both deltas."""
-    pair = PAnd if mode == SIGMA else POr
+    pair = And if mode == SIGMA else Or
     blocks = tuple(pair((PVar(base + i, 1), PVar(base + i, 2)))
                    for i in range(count))
     if count == 1:
         return blocks[0]
-    return POr(blocks) if mode == SIGMA else PAnd(blocks)
+    return Or(blocks) if mode == SIGMA else And(blocks)
 
 
 def _normalize(p: PropFormula, delta1: tuple[Formula, ...],
@@ -418,11 +399,6 @@ def normalize_pairs(d: ReductionSequence, mode: str) -> ReductionSequence:
                              d.partition, d.vocab)
 
 
-def _in_pair_form(d: ReductionSequence, mode: str) -> bool:
-    return len(d.delta2) == len(d.delta1) and \
-        d.beta == _pair_beta(len(d.delta1), mode)
-
-
 # ---------------------------------------------------------------------------
 # The decomposition itself
 
@@ -443,20 +419,8 @@ def decompose(f: Formula, partition: VarPartition) -> ReductionSequence:
         raise ValidationError(f"partition does not cover free variables {missing}")
     delta1, delta2, beta = _Engine(sides).run(f)
     component_vocab = Vocabulary(
-        {name: ar for name, ar in _collect_vocab(f).items() if name != MARK})
+        {name: ar for name, ar in relations_used(f).items() if name != MARK})
     return ReductionSequence(delta1, delta2, beta, partition, component_vocab)
-
-
-def _collect_vocab(f: Formula) -> dict[str, int]:
-    from .formula import subformulas
-    out: dict[str, int] = {}
-    for g in subformulas(f):
-        if isinstance(g, Literal) and g.relation != "=":
-            if out.get(g.relation, len(g.args)) != len(g.args):
-                raise ValidationError(
-                    f"relation {g.relation!r} used with inconsistent arities")
-            out[g.relation] = len(g.args)
-    return out
 
 
 def decompose_over_op(f: Formula, op: SumLikeOp,
@@ -467,8 +431,8 @@ def decompose_over_op(f: Formula, op: SumLikeOp,
 
 
 # An engine result: a _Pairs or -- for a constant or a quantifier-free
-# connective -- a PAnd/POr whose children are the children's results.
-_Part = Union[PAnd, POr, _Pairs]
+# connective -- an And/Or whose children are the children's results.
+_Part = Union[And, Or, _Pairs]
 
 
 class _Engine:
@@ -501,10 +465,9 @@ class _Engine:
         if isinstance(f, Literal):
             return self._literal(f)
         if isinstance(f, (And, Or)):
-            ctor = PAnd if isinstance(f, And) else POr
             if is_quantifier_free(f):
-                return ctor(tuple(self._rec(c) for c in f.children))
-            return self._connective(f, ctor)
+                return type(f)(tuple(self._rec(c) for c in f.children))
+            return self._connective(f)
         if isinstance(f, Exists):
             return self._quantifier(f, SIGMA)
         return self._quantifier(f, PI)
@@ -512,23 +475,24 @@ class _Engine:
     def _literal(self, f: Literal) -> _Part:
         if f.relation == MARK:
             on_left = self.sides[f.args[0]] == 1
-            return P_TOP if on_left == f.positive else P_BOT
+            return TOP if on_left == f.positive else BOT
         arg_sides = {self.sides[a] for a in f.args}
         if len(arg_sides) == 2:
             # atoms never hold across the components; equality neither
-            return P_BOT if f.positive else P_TOP
+            return BOT if f.positive else TOP
         if arg_sides == {1}:
             return _Pairs(SIGMA, (f,), (TOP,))
         return _Pairs(SIGMA, (TOP,), (f,))
 
-    def _connective(self, f: Union[And, Or], ctor) -> _Pairs:
+    def _connective(self, f: Union[And, Or]) -> _Pairs:
         # Conjunction at a quantified level: children renormalized to the
         # universal pair form, combined, then the Sigma form is restored
         # (dually for disjunction).
-        inner_mode, out_mode = (PI, SIGMA) if ctor is PAnd else (SIGMA, PI)
+        is_and = isinstance(f, And)
+        inner_mode, out_mode = (PI, SIGMA) if is_and else (SIGMA, PI)
         parts = tuple(_normalize(self._rec(c), (), (), inner_mode)
                       for c in f.children)
-        return _normalize(ctor(parts), (), (), out_mode)
+        return _normalize(type(f)(parts), (), (), out_mode)
 
     def _quantifier(self, f: Union[Exists, Forall], mode: str) -> _Pairs:
         var, body = f.var, f.body
@@ -570,9 +534,9 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
     component under the partition's share of the tuples, then beta decides.
     Every tuple element must lie in its component's universe.  Each side has
     one budget of ``DEFAULT_ATOM_BUDGET`` atom checks for the whole call;
-    past it the call raises BudgetExceeded.  Beta is compiled once per
-    reduction, as in :func:`eval_prop`, and kept on it; each factor runs
-    ``evaluate``'s closure, compiled when beta first reaches the factor.
+    past it the call raises BudgetExceeded.  Beta runs the closure that
+    :func:`eval_prop` runs, compiled once and kept on its nodes; each factor
+    runs ``evaluate``'s closure, compiled when beta first reaches it.
     Factors are checked on demand, in beta's child order, so beta's short
     circuits carry over to the factor lists.  Factor values are not kept,
     so a beta that names a factor twice checks it twice.
@@ -591,42 +555,24 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
         f = bank[i]
         return (f._ev or _compile(f))(structure, asg, budget)
 
-    beta = d._ev
-    if beta is None:
-        beta = _compile_prop(d.beta)
-        object.__setattr__(d, "_ev", beta)
-    return beta(zeta)
+    beta = d.beta
+    return (beta._ev or _compile(beta))(zeta, None, None)
 
 
 def simplify_reduction(d: ReductionSequence) -> ReductionSequence:
     """Semantics-preserving cleanup.
 
-    On pair-form reductions: deduplicate factor pairs and drop pairs that can
-    never matter (a ``false`` factor in a conjunctive pair, a ``true`` factor
-    in a disjunctive pair).  Always: constant-fold beta and drop factors no
-    longer referenced.  Pair normal form and factor classification bounds are
-    preserved.
+    A pair-form reduction goes through :func:`normalize_pairs`, which drops
+    the pairs that can never matter (a ``false`` factor in a conjunctive
+    pair, a ``true`` factor in a disjunctive pair), repeated pairs, and
+    pairs absorbed by another.  Any other reduction gets a constant-folded
+    beta, and factors no longer referenced drop.  Pair normal form and
+    factor classification bounds are preserved.
     """
-    pairs_mode = None
-    if _in_pair_form(d, SIGMA):
-        pairs_mode = SIGMA
-    elif _in_pair_form(d, PI):
-        pairs_mode = PI
-    if pairs_mode is not None:
-        drop = BOT if pairs_mode == SIGMA else TOP
-        kept: list[tuple[Formula, Formula]] = []
-        seen = set()
-        for f1, f2 in zip(d.delta1, d.delta2):
-            if f1 == drop or f2 == drop:
-                continue
-            if (f1, f2) in seen:
-                continue
-            seen.add((f1, f2))
-            kept.append((f1, f2))
-        beta = _fold(_pair_beta(len(kept), pairs_mode))
-        return ReductionSequence(tuple(p[0] for p in kept),
-                                 tuple(p[1] for p in kept),
-                                 beta, d.partition, d.vocab)
+    for mode in (SIGMA, PI):
+        if len(d.delta2) == len(d.delta1) and \
+                d.beta == _pair_beta(len(d.delta1), mode):
+            return normalize_pairs(d, mode)
     beta = _fold(d.beta)
     used = prop_vars(beta)
     keep1 = [i for i in range(len(d.delta1)) if (i, 1) in used]
@@ -643,7 +589,7 @@ def _fold(p: PropFormula) -> PropFormula:
     if isinstance(p, PVar):
         return p
     # the junction's absorbing constant and its unit
-    zero, unit = (P_BOT, P_TOP) if isinstance(p, PAnd) else (P_TOP, P_BOT)
+    zero, unit = (BOT, TOP) if isinstance(p, And) else (TOP, BOT)
     children = [c for c in map(_fold, p.children) if c != unit]
     if zero in children:
         return zero

@@ -32,12 +32,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ValidationError
-from .formula import (And, Exists, Forall, Formula, Literal, Or,
+from .formula import (And, Exists, Forall, Formula, Literal, Or, PI, SIGMA,
                       TOP, BOT, NAME_RE, Vocabulary)
 from .structure import Structure
-
-SIGMA = "sigma"
-PI = "pi"
 
 # Magnitude guard for materialized tower values (in bits).
 DEFAULT_TOWER_MAX_BITS = 1 << 20

@@ -5,6 +5,12 @@ conjunction and disjunction, whose empty forms are the constants true and
 false, and single-variable quantifiers.  Multi-variable quantifier blocks in the concrete syntax are
 desugared to nested single-variable nodes at parse time.
 
+The junctions also serve as beta, the propositional formula of a reduction
+sequence, over ``decompose.PVar`` factor variables in place of literals.
+``modelcheck`` compiles and evaluates a beta like any formula, but
+:func:`print_formula`, :func:`classify` and ``evaluate`` are not defined on
+one; its text form is ``decompose.prop_to_json``.
+
 Formulas are classified into the tree-prefix hierarchy: ``sigma_level`` is the
 least lambda such that the formula sits in the existential class at level
 lambda, ``pi_level`` the universal dual.  Level 0 means quantifier-free for
@@ -31,6 +37,10 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_NAMES = frozenset(
     {"=", "true", "false", "and", "or", "not", "exists", "forall"}
 )
+
+# The two sides of the hierarchy, as named in modes and class arguments.
+SIGMA = "sigma"
+PI = "pi"
 
 
 @dataclass
@@ -180,6 +190,18 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(f.body)
 
 
+def relations_used(f: Formula) -> dict[str, int]:
+    """The relations ``f`` uses besides equality, name -> arity, in order of
+    first use; one name used with two arities is an error."""
+    out: dict[str, int] = {}
+    for g in subformulas(f):
+        if isinstance(g, Literal) and g.relation != "=":
+            if out.setdefault(g.relation, len(g.args)) != len(g.args):
+                raise ValidationError(
+                    f"relation {g.relation!r} used with inconsistent arities")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -196,8 +218,11 @@ def print_formula(f: Formula) -> str:
     if isinstance(f, (And, Or)):
         if not f.children:
             return "true" if f == TOP else "false"
-        head = "(and " if isinstance(f, And) else "(or "
-        return head + " ".join(print_formula(c) for c in f.children) + ")"
+        # a plain loop: a generator expression costs a second frame
+        parts = ["(and" if isinstance(f, And) else "(or"]
+        for c in f.children:
+            parts.append(print_formula(c))
+        return " ".join(parts) + ")"
     if isinstance(f, Exists):
         return f"(exists ({f.var}) {print_formula(f.body)})"
     if isinstance(f, Forall):
@@ -523,7 +548,7 @@ def random_formula(cls: str, n: int, m: int, vocab: Vocabulary,
     (resp. universal) level <= n with quantifier rank <= m, uses connective
     fan-out <= 3, and draws free variables from ``free_vars``.
     """
-    if cls not in ("sigma", "pi"):
+    if cls not in (SIGMA, PI):
         raise ValidationError(f"cls must be 'sigma' or 'pi', got {cls!r}")
     if n < 0 or m < 0:
         raise ValidationError("n, m must be >= 0")
@@ -561,7 +586,7 @@ def random_formula(cls: str, n: int, m: int, vocab: Vocabulary,
     def gen(mode: str, depth: int, budget: int, ctx: tuple[str, ...]) -> Formula:
         if depth == 0 or budget == 0 or rng.random() < 0.3:
             return gen_qf(ctx)
-        inner = "pi" if mode == "sigma" else "sigma"
+        inner = PI if mode == SIGMA else SIGMA
         block = rng.choice([1] * 3 + [2])
         block = min(block, budget)
         names = tuple(fresh_var() for _ in range(block))
@@ -571,8 +596,8 @@ def random_formula(cls: str, n: int, m: int, vocab: Vocabulary,
         if len(kids) == 1:
             body: Formula = kids[0]
         else:
-            body = (And if mode == "sigma" else Or)(kids)
-        ctor = Exists if mode == "sigma" else Forall
+            body = (And if mode == SIGMA else Or)(kids)
+        ctor = Exists if mode == SIGMA else Forall
         for name in reversed(names):
             body = ctor(name, body)
         return body

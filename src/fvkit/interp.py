@@ -23,15 +23,11 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .formula import (And, Exists, Forall, Formula, Literal, Or, TOP,
                       Vocabulary, free_variables, is_quantifier_free,
-                      negate_dual, parse_formula, print_formula, subformulas,
-                      substitute, vocabulary_from_json, vocabulary_to_json)
+                      negate_dual, parse_formula, print_formula,
+                      relations_used, substitute, vocabulary_from_json,
+                      vocabulary_to_json)
 from .modelcheck import evaluate
 from .structure import MARK, Structure, annotated_disjoint_union
-
-
-def _relations_used(f: Formula) -> set[str]:
-    return {g.relation for g in subformulas(f)
-            if isinstance(g, Literal) and g.relation != "="}
 
 
 def _check_defining(f: Formula, allowed: tuple[str, ...], vocab: Vocabulary,
@@ -41,7 +37,7 @@ def _check_defining(f: Formula, allowed: tuple[str, ...], vocab: Vocabulary,
     bad_vars = set(free_variables(f)) - set(allowed)
     if bad_vars:
         raise ValidationError(f"{what} uses unexpected variables {sorted(bad_vars)}")
-    bad_rels = _relations_used(f) - set(vocab.relations)
+    bad_rels = relations_used(f).keys() - vocab.relations
     if bad_rels:
         raise ValidationError(f"{what} uses unknown relations {sorted(bad_rels)}")
 
@@ -136,7 +132,7 @@ def transform_formula(xi: Interpretation, f: Formula) -> Formula:
     assignments into the carved-out universe.  Quantifier blocks stay blocks,
     so classification levels and rank never increase.
     """
-    bad = _relations_used(f) - set(xi.target_vocab.relations)
+    bad = relations_used(f).keys() - xi.target_vocab.relations
     if bad:
         raise ValidationError(f"formula uses relations {sorted(bad)} "
                               "outside the target vocabulary")
@@ -159,7 +155,12 @@ def _transform(xi: Interpretation, f: Formula) -> Formula:
         mapped = substitute(base, names)
         return And((mapped,) + tuple(_guard(xi, a) for a in f.args))
     if isinstance(f, (And, Or)):
-        return type(f)(tuple(_transform(xi, c) for c in f.children))
+        # plain loops here and below: a generator expression costs a
+        # second frame per level
+        kids = []
+        for c in f.children:
+            kids.append(_transform(xi, c))
+        return type(f)(tuple(kids))
     # Maximal same-kind quantifier block, relativized to the universe:
     # "exists" conjoins the guards, "forall" disjoins their duals.
     kind = type(f)
@@ -175,8 +176,10 @@ def _transform(xi: Interpretation, f: Formula) -> Formula:
     # a constant body (an empty junction) stays one child, printed as such
     inner = body.children if isinstance(body, junction) and body.children \
         else (body,)
-    wrapped: Formula = junction(
-        guards + tuple(_transform(xi, c) for c in inner))
+    kids = list(guards)
+    for c in inner:
+        kids.append(_transform(xi, c))
+    wrapped: Formula = junction(tuple(kids))
     for name in reversed(names):
         wrapped = kind(name, wrapped)
     return wrapped

@@ -63,7 +63,8 @@ def evaluate(structure: Structure, f: Formula, asg: dict[str, str],
 def _compile(f: Formula) -> Compiled:
     """The closure of ``f``, compiling every node below it that has none
     yet, children before parents, with an explicit stack so that depth
-    costs no Python frames here."""
+    costs no Python frames here.  A beta compiles the same way: its
+    ``decompose.PVar`` leaves bring their ``_ev`` along."""
     stack = [f]
     while stack:
         g = stack[-1]

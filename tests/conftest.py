@@ -2,7 +2,7 @@
 
 import itertools
 
-from fvkit import PAnd, POr, PVar, Structure, Vocabulary
+from fvkit import And, Or, PVar, Structure, Vocabulary
 
 
 def all_structures(vocab, max_size):
@@ -44,7 +44,7 @@ def merged_assignment(left_asg, right_asg):
 
 def pair_blocks(beta, mode):
     """The [(i,1),(i,2)] blocks of a pair-normal-form beta, or None."""
-    outer, inner = (POr, PAnd) if mode == "sigma" else (PAnd, POr)
+    outer, inner = (Or, And) if mode == "sigma" else (And, Or)
     if isinstance(beta, inner):
         blocks = (beta,)
     elif isinstance(beta, outer):

@@ -24,7 +24,7 @@ from fvkit import (GameConfig, Interpretation, Player, Structure, TestBed,
                    print_formula, quantifier_rank, random_formula,
                    reduction_stats, save_structure, transfer_oracle,
                    transform_formula, tree_prefix_game_winner,
-                   PAnd, POr, PVar, P_BOT, P_TOP)
+                   And, Or, PVar, BOT, TOP)
 from fvkit.decompose import SIZE_BOUND_FACTOR
 from fvkit.enumeration import tower_at_least
 from conftest import (all_structures, linear_order, merged_assignment,
@@ -176,9 +176,9 @@ def _negation_free(p):
     stack = [p]
     while stack:
         q = stack.pop()
-        if isinstance(q, (PAnd, POr)):
+        if isinstance(q, (And, Or)):
             stack.extend(q.children)
-        elif not (isinstance(q, PVar) or q == P_TOP or q == P_BOT):
+        elif not (isinstance(q, PVar) or q == TOP or q == BOT):
             return False
     return True
 

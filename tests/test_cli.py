@@ -100,6 +100,20 @@ def test_transform(tmp_path, capsys):
         "(exists (z) (and true (and (not (E z z)) true true)))"
 
 
+def test_transform_deep_alternating_junctions(tmp_path, capsys):
+    # as deep as classify and decompose accept: one frame per and/or level
+    xi = tmp_path / "xi.json"
+    xi.write_text(json.dumps({
+        "source_vocabulary": {"E": 2}, "target_vocabulary": {"E": 2},
+        "universe_formula": "true", "relation_formulas": {"E": "(E y1 y2)"}}))
+    heads = ["(and " if i % 2 == 0 else "(or " for i in range(700)]
+    text = "".join(h + "(E x x) " for h in heads) + "(E x x)" + ")" * 700
+    assert run(["transform", "--interp", str(xi), "--formula", text]) == 0
+    lit = "(and (E x x) true true)"
+    assert capsys.readouterr().out == \
+        "".join(h + lit + " " for h in heads) + lit + ")" * 700 + "\n"
+
+
 def test_enumerate(files, capsys):
     args = ["enumerate", "--class", "sigma", "--n", "1", "--k", "1",
             "--structures", str(files / "structs")]

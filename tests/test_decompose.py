@@ -10,8 +10,8 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (BOT, MARK, BudgetExceeded, PAnd, POr, PVar,
-                   P_BOT, P_TOP, ReductionSequence, SIGMA, Structure, TOP,
+from fvkit import (BOT, MARK, And, BudgetExceeded, Or, PVar,
+                   ReductionSequence, SIGMA, Structure, TOP,
                    ValidationError, VarPartition, Vocabulary,
                    annotated_disjoint_union, builtin, classify, decompose,
                    decompose_over_op, evaluate, eval_prop, eval_reduction,
@@ -36,7 +36,7 @@ def test_atom_one_sided():
     d = decompose(parse_formula("(E x y)", VE), VarPartition(("x", "y"), ()))
     assert [print_formula(g) for g in d.delta1] == ["(E x y)"]
     assert [print_formula(g) for g in d.delta2] == ["true"]
-    assert d.beta == PAnd((PVar(0, 1), PVar(0, 2)))
+    assert d.beta == And((PVar(0, 1), PVar(0, 2)))
     st = reduction_stats(d)
     assert st == {"total_size": 7, "factor_count_1": 1,
                   "factor_count_2": 1, "beta_size": 3}
@@ -45,29 +45,29 @@ def test_atom_one_sided():
 def test_atom_mixed_sides():
     d = decompose(parse_formula("(E x y)", VE), VarPartition(("x",), ("y",)))
     assert d.delta1 == () and d.delta2 == ()
-    assert d.beta == P_BOT
+    assert d.beta == BOT
     assert reduction_stats(d)["total_size"] == 1
     neg = decompose(parse_formula("(not (E x y))", VE),
                     VarPartition(("x",), ("y",)))
-    assert neg.beta == P_TOP
+    assert neg.beta == TOP
 
 
 def test_equality_decomposes_like_atoms():
     same = decompose(parse_formula("(= x y)", VE), VarPartition(("x", "y"), ()))
     assert [print_formula(g) for g in same.delta1] == ["(= x y)"]
     mixed = decompose(parse_formula("(= x y)", VE), VarPartition(("x",), ("y",)))
-    assert mixed.beta == P_BOT
+    assert mixed.beta == BOT
     mixed_neg = decompose(parse_formula("(not (= x y))", VE),
                           VarPartition(("x",), ("y",)))
-    assert mixed_neg.beta == P_TOP
+    assert mixed_neg.beta == TOP
 
 
 def test_marker_literals():
     f = parse_formula("(P x)", VEP)
-    assert decompose(f, VarPartition(("x",), ())).beta == P_TOP
-    assert decompose(f, VarPartition((), ("x",))).beta == P_BOT
+    assert decompose(f, VarPartition(("x",), ())).beta == TOP
+    assert decompose(f, VarPartition((), ("x",))).beta == BOT
     g = parse_formula("(not (P x))", VEP)
-    assert decompose(g, VarPartition((), ("x",))).beta == P_TOP
+    assert decompose(g, VarPartition((), ("x",))).beta == TOP
     # factors never mention the marker; the reduction vocab drops it
     d = decompose(parse_formula("(and (P x) (E x x))", VEP),
                   VarPartition(("x",), ()))
@@ -81,15 +81,15 @@ def test_exists_loop_sentence():
         ["(exists (z) (E z z))", "true"]
     assert [print_formula(g) for g in d.delta2] == \
         ["true", "(exists (z) (E z z))"]
-    assert d.beta == POr((PAnd((PVar(0, 1), PVar(0, 2))),
-                          PAnd((PVar(1, 1), PVar(1, 2)))))
+    assert d.beta == Or((And((PVar(0, 1), PVar(0, 2))),
+                          And((PVar(1, 1), PVar(1, 2)))))
 
 
 def test_eval_reduction_zeta_examples():
     d = decompose(EXISTS_LOOP, VarPartition((), ()))
     assert eval_reduction(d, LOOP, EDGELESS) is True
     assert eval_reduction(d, EDGELESS, EDGELESS) is False
-    trivial = ReductionSequence((), (), P_TOP, VarPartition((), ()), VE)
+    trivial = ReductionSequence((), (), TOP, VarPartition((), ()), VE)
     assert eval_reduction(trivial, LOOP, EDGELESS) is True
     assert eval_reduction(trivial, EDGELESS, EDGELESS) is True
 
@@ -149,13 +149,13 @@ def test_compiled_beta_stays_out_of_fields_and_pickles():
     cases = [(a, b, (ea,), (eb,)) for a, b in itertools.product(grid, repeat=2)
              for ea, eb in itertools.product(a.universe, b.universe)]
     values = [eval_reduction(d, *case) for case in cases]
-    assert d._ev is not None
+    assert d.beta._ev is not None
     fresh = decompose(parse_formula(f, VE), VarPartition(("x",), ("y",)))
-    assert fresh._ev is None
+    assert fresh.beta._ev is None
     assert d == fresh and repr(d) == repr(fresh)
     # Closures do not pickle, so this fails if _ev gets into the state.
     back = pickle.loads(pickle.dumps(d))
-    assert back == d and back._ev is None
+    assert back == d and back.beta._ev is None
     assert [eval_reduction(back, *case) for case in cases] == values
     assert True in values and False in values
 
@@ -235,7 +235,7 @@ def test_normalize_pairs_four_pair_example():
     chi2 = parse_formula("(not (E y y))", VE)
     d = ReductionSequence(
         (psi1, psi2), (chi1, chi2),
-        PAnd((POr((PVar(0, 1), PVar(0, 2))), POr((PVar(1, 1), PVar(1, 2))))),
+        And((Or((PVar(0, 1), PVar(0, 2))), Or((PVar(1, 1), PVar(1, 2))))),
         VarPartition(("x",), ("y",)), VE)
     out = normalize_pairs(d, SIGMA)
     got = [(print_formula(a), print_formula(b))
@@ -256,13 +256,13 @@ def test_normalize_pairs_four_pair_example():
 
 
 def test_normalize_pairs_top_bottom():
-    top = ReductionSequence((), (), P_TOP, VarPartition((), ()), VE)
+    top = ReductionSequence((), (), TOP, VarPartition((), ()), VE)
     out = normalize_pairs(top, SIGMA)
     assert [print_formula(g) for g in out.delta1] == ["true"]
     assert [print_formula(g) for g in out.delta2] == ["true"]
-    assert out.beta == PAnd((PVar(0, 1), PVar(0, 2)))
-    bot = ReductionSequence((), (), P_BOT, VarPartition((), ()), VE)
-    assert normalize_pairs(bot, SIGMA).beta == POr(())
+    assert out.beta == And((PVar(0, 1), PVar(0, 2)))
+    bot = ReductionSequence((), (), BOT, VarPartition((), ()), VE)
+    assert normalize_pairs(bot, SIGMA).beta == Or(())
 
 
 def test_normalize_pairs_idempotent():
@@ -296,25 +296,35 @@ def test_simplify_reduction():
     top = parse_formula("true", VE)
     dup = ReductionSequence(
         (psi, psi), (top, top),
-        POr((PAnd((PVar(0, 1), PVar(0, 2))), PAnd((PVar(1, 1), PVar(1, 2))))),
+        Or((And((PVar(0, 1), PVar(0, 2))), And((PVar(1, 1), PVar(1, 2))))),
         VarPartition((), ()), VE)
     slim = simplify_reduction(dup)
     assert len(slim.delta1) == 1  # identical pairs collapse
     dead = ReductionSequence(
         (psi, parse_formula("false", VE)), (top, top),
-        POr((PAnd((PVar(0, 1), PVar(0, 2))), PAnd((PVar(1, 1), PVar(1, 2))))),
+        Or((And((PVar(0, 1), PVar(0, 2))), And((PVar(1, 1), PVar(1, 2))))),
         VarPartition((), ()), VE)
     assert len(simplify_reduction(dead).delta1) == 1  # false factor drops
-    bot = ReductionSequence((), (), POr(()), VarPartition((), ()), VE)
-    assert simplify_reduction(bot).beta == P_BOT
+    bot = ReductionSequence((), (), Or(()), VarPartition((), ()), VE)
+    assert simplify_reduction(bot).beta == BOT
     # one pair in its outer junction is not pair form: beta folds to the
     # bare pair, but the false factor stays
     wrapped = ReductionSequence(
         (parse_formula("false", VE),), (top,),
-        POr((PAnd((PVar(0, 1), PVar(0, 2))),)), VarPartition((), ()), VE)
+        Or((And((PVar(0, 1), PVar(0, 2))),)), VarPartition((), ()), VE)
     slim = simplify_reduction(wrapped)
-    assert slim.delta1 == (BOT,) and slim.beta == PAnd((PVar(0, 1), PVar(0, 2)))
-    for d in (dup, dead):
+    assert slim.delta1 == (BOT,) and slim.beta == And((PVar(0, 1), PVar(0, 2)))
+    # a pair absorbs every pair whose picks contain its picks:
+    # (psi, true) or (psi, chi) is (psi, true)
+    chi = parse_formula("(exists (z) (not (E z z)))", VE)
+    absorbing = ReductionSequence(
+        (psi, psi), (chi, top),
+        Or((And((PVar(0, 1), PVar(0, 2))), And((PVar(1, 1), PVar(1, 2))))),
+        VarPartition((), ()), VE)
+    slim = simplify_reduction(absorbing)
+    assert (slim.delta1, slim.delta2) == ((psi,), (top,))
+    assert slim.beta == And((PVar(0, 1), PVar(0, 2)))
+    for d in (dup, dead, absorbing):
         slim = simplify_reduction(d)
         for a, b in itertools.product(all_structures(VE, 2), repeat=2):
             assert eval_reduction(d, a, b) == eval_reduction(slim, a, b)
@@ -347,6 +357,13 @@ def test_decompose_over_op_ordered_sum_totality():
     assert eval_reduction(d, l1, l1) == evaluate(apply_sum_like(op, l1, l1), f, {})
 
 
+# A well-formed reduction that the malformed cases below change in one place.
+REDUCTION_JSON = {"delta1": ["(E x x)"], "delta2": [],
+                  "beta": {"var": [0, 1]},
+                  "partition": {"left": ["x"], "right": []},
+                  "vocabulary": {"E": 2}}
+
+
 def test_reduction_json_round_trip():
     d = decompose(EXISTS_LOOP, VarPartition((), ()))
     data = reduction_to_json(d)
@@ -354,12 +371,41 @@ def test_reduction_json_round_trip():
     assert data["beta"]["or"][0] == {"and": [{"var": [0, 1]}, {"var": [0, 2]}]}
     back = reduction_from_json(data)
     assert back.delta1 == d.delta1 and back.beta == d.beta
-    assert prop_to_json(P_BOT) == {"const": False}
-    assert prop_to_json(POr((PVar(0, 1), P_TOP))) == \
+    assert prop_to_json(BOT) == {"const": False}
+    assert prop_to_json(Or((PVar(0, 1), TOP))) == \
         {"or": [{"var": [0, 1]}, {"const": True}]}
     # files that spell a constant as an empty junction still load
-    assert prop_from_json({"or": []}) == P_BOT
-    assert prop_from_json({"and": []}) == P_TOP
+    assert prop_from_json({"or": []}) == BOT
+    assert prop_from_json({"and": []}) == TOP
+    assert reduction_from_json(REDUCTION_JSON).beta == PVar(0, 1)
+    with pytest.raises(ValidationError):
+        reduction_from_json([REDUCTION_JSON])
+
+
+@pytest.mark.parametrize("beta", [
+    {"var": 5}, {"var": [0, 1, 2]}, {"var": ["a", 1]}, {"var": [True, 1]},
+    {"and": 5}, {"const": "no"}, {"const": 1}, {"xor": []}, [],
+    {"or": [{"var": [0, 3]}]},
+])
+def test_malformed_beta_json_is_a_validation_error(beta):
+    with pytest.raises(ValidationError):
+        prop_from_json(beta)
+    with pytest.raises(ValidationError):
+        reduction_from_json(REDUCTION_JSON | {"beta": beta})
+
+
+@pytest.mark.parametrize("change", [
+    {"vocabulary": None}, {"partition": {"left": ["x"]}},
+    {"delta1": [5]}, {"delta2": "(E y y)"}, {"partition": ["x"]},
+    {"partition": {"left": "x", "right": []}}, {"vocabulary": [["E", 2]]},
+], ids=["no-vocabulary", "no-right", "factor-int", "delta-string",
+        "partition-list", "left-string", "vocabulary-list"])
+def test_malformed_reduction_json_is_a_validation_error(change):
+    # a None value drops the key
+    data = {k: v for k, v in (REDUCTION_JSON | change).items()
+            if v is not None}
+    with pytest.raises(ValidationError):
+        reduction_from_json(data)
 
 
 @st.composite
@@ -487,9 +533,9 @@ def reference_distribute(p, delta1, delta2, mode):
         right.extend(g for g in t[1] if g not in right)
         return tuple(left), tuple(right)
 
-    unit = P_TOP if conj else P_BOT
-    void = P_BOT if conj else P_TOP
-    spread_t = POr if conj else PAnd
+    unit = TOP if conj else BOT
+    void = BOT if conj else TOP
+    spread_t = Or if conj else And
     empty = ((), ())
 
     def rec(q):
@@ -551,7 +597,7 @@ def random_prop(rng, delta1, delta2, depth, is_and):
     roll = rng.random()
     if depth == 0 or roll < 0.15:
         if roll < 0.02:
-            return rng.choice((P_TOP, P_BOT))
+            return rng.choice((TOP, BOT))
         side = rng.choice((1, 2))
         return PVar(rng.randrange(len(delta1 if side == 1 else delta2)), side)
     children = tuple(random_prop(rng, delta1, delta2, depth - 1, not is_and)
@@ -559,8 +605,52 @@ def random_prop(rng, delta1, delta2, depth, is_and):
     if children and rng.random() < 0.2:
         # the same picks again, in the reverse order
         children += (type(children[0])(children[0].children[::-1])
-                     if isinstance(children[0], (PAnd, POr)) else children[0],)
-    return (PAnd if is_and else POr)(children)
+                     if isinstance(children[0], (And, Or)) else children[0],)
+    return (And if is_and else Or)(children)
+
+
+def reference_compile_prop(p):
+    """The compiler betas had of their own before modelcheck's compiler
+    took them over: p as a closure ``zeta -> bool`` that asks zeta for its
+    variables in child order and stops at the first child that decides."""
+    if isinstance(p, PVar):
+        index, side = p.index, p.side
+        return lambda zeta: bool(zeta(index, side))
+    kids = tuple([reference_compile_prop(c) for c in p.children])
+    if isinstance(p, And):
+        def ev(zeta):
+            for kid in kids:
+                if not kid(zeta):
+                    return False
+            return True
+    else:
+        def ev(zeta):
+            for kid in kids:
+                if kid(zeta):
+                    return True
+            return False
+    return ev
+
+
+def test_eval_prop_matches_reference_compiler():
+    # the same value from the same requests to zeta, in the same order
+    import random
+    rng = random.Random(3)
+    for _ in range(400):
+        delta1, delta2 = random_bank(rng), random_bank(rng)
+        p = random_prop(rng, delta1, delta2, rng.randint(0, 4),
+                        rng.random() < 0.5)
+        truth = {(i, side): rng.random() < 0.5
+                 for side, bank in ((1, delta1), (2, delta2))
+                 for i in range(len(bank))}
+        asked = ([], [])
+
+        def zeta(i, side, log):
+            log.append((i, side))
+            return truth[i, side]
+        want = reference_compile_prop(p)(lambda i, s: zeta(i, s, asked[0]))
+        got = eval_prop(p, lambda i, s: zeta(i, s, asked[1]))
+        assert got is want and asked[1] == asked[0]
 
 
 def test_distribute_matches_reference():
@@ -592,7 +682,7 @@ def test_distribute_over_pair_lists_matches_reference():
                              *zip(*[(rng.choice(POOL), rng.choice(POOL))
                                     for _ in range(rng.randint(1, 3))]))
             for _ in range(rng.randint(1, 3)))
-        q = rng.choice((PAnd, POr))(parts) if len(parts) > 1 else parts[0]
+        q = rng.choice((And, Or))(parts) if len(parts) > 1 else parts[0]
         delta1, delta2 = [], []
         beta = DECOMPOSE._place(q, delta1, delta2)
         for mode in ("sigma", "pi"):
