@@ -197,7 +197,8 @@ def _strings(data: dict, key: str) -> tuple[str, ...]:
 def reduction_from_json(data: dict) -> ReductionSequence:
     """Inverse of :func:`reduction_to_json`, bound names included; the
     ``stats`` key is not read.  Each factor's free variables must lie on its
-    side of the partition."""
+    side of the partition.  Input too deeply nested for the recursive walks
+    (beta, or a factor's text) is a ValidationError."""
     if not isinstance(data, dict):
         raise ValidationError("reduction JSON must be an object")
     for key in ("delta1", "delta2", "beta", "partition", "vocabulary"):
@@ -208,13 +209,17 @@ def reduction_from_json(data: dict) -> ReductionSequence:
         raise ValidationError(
             f"partition must be an object with 'left' and 'right', got {part!r}")
     vocab = vocabulary_from_json(data["vocabulary"])
-    d = ReductionSequence(
-        delta1=tuple(_parse(t, vocab) for t in _strings(data, "delta1")),
-        delta2=tuple(_parse(t, vocab) for t in _strings(data, "delta2")),
-        beta=prop_from_json(data["beta"]),
-        partition=VarPartition(_strings(part, "left"), _strings(part, "right")),
-        vocab=vocab,
-    )
+    try:
+        d = ReductionSequence(
+            delta1=tuple(_parse(t, vocab) for t in _strings(data, "delta1")),
+            delta2=tuple(_parse(t, vocab) for t in _strings(data, "delta2")),
+            beta=prop_from_json(data["beta"]),
+            partition=VarPartition(_strings(part, "left"),
+                                   _strings(part, "right")),
+            vocab=vocab,
+        )
+    except RecursionError:
+        raise ValidationError("reduction JSON nested too deeply") from None
     for bank, factors, side in (("delta1", d.delta1, d.partition.left),
                                 ("delta2", d.delta2, d.partition.right)):
         for i, f in enumerate(factors):

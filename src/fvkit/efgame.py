@@ -11,7 +11,11 @@ Partial isomorphism is hereditary, so the solver tests it pebble by pebble:
 a reply element whose pair breaks it loses at once, with every extension.
 The final check reads only the set of pebble pairs, so positions are that
 set (plus rounds left and side), and tuples that differ in order or repeats
-share one memo entry.
+share one memo entry.  The solver stores a set of pairs as an ``int``
+bitmask over pair ids, and tests a new pair with a per-game compatibility
+table: one bitmask row per pair, the pairs that agree with it on ``=`` and
+on every relation of arity at most 2.  The position budget counts the same
+Spoiler-to-move positions as a search over sets of pairs would.
 
 Duplicator wins the *tree* variant iff she wins the prefix game from both
 orders of the pair; that mirrors closure of tree-shaped classes under
@@ -66,15 +70,16 @@ def prefix_game_winner(config: GameConfig, a: Structure,
     board Spoiler moves on; order and repeats in the tuples do not matter,
     since the final check reads only that set.  The start tuples are checked
     once with :func:`is_partial_isomorphism`.  Duplicator's reply is then
-    searched one element at a time, and an element whose pair breaks the
-    partial isomorphism is refused at once: the property is hereditary, so
-    every extension of that reply loses too.  Every position reached is thus
-    a partial isomorphism, and one with no rounds left is Duplicator's.
+    searched one element at a time, in universe order, and an element whose
+    pair breaks the partial isomorphism is refused at once: the property is
+    hereditary, so every extension of that reply loses too.  Every position
+    reached is thus a partial isomorphism, and one with no rounds left is
+    Duplicator's.
 
-    Results are memoized on ``(rounds left, side, set of pairs)``.  The
-    budget counts Spoiler-to-move positions that miss the memo; past
-    ``max_positions`` of them the call raises BudgetExceeded instead of
-    running unbounded.
+    Results are memoized on ``(rounds left, side, set of pairs)``, the set
+    held as a bitmask (see :func:`_solver`).  The budget counts
+    Spoiler-to-move positions that miss the memo; past ``max_positions`` of
+    them the call raises BudgetExceeded instead of running unbounded.
     """
     a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
     if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
@@ -89,52 +94,116 @@ def _solver(a: Structure, b: Structure, k: int, max_positions: int):
     """``dup_wins(rounds, left_is_a, pairs)``: does Duplicator win with
     ``rounds`` rounds left, Spoiler to move on ``a`` (else ``b``), from the
     partial isomorphism ``pairs`` of (a, b) elements?  All calls share one
-    memo and one budget of ``max_positions`` positions."""
-    tables = [(arity, a.relations[name], b.relations[name])
-              for name, arity in a.vocab.relations.items()]
-    memo: dict = {}
-    explored = 0
+    memo and one budget of ``max_positions`` positions.
 
-    def extends(pairs: frozenset, pair: tuple[str, str]) -> bool:
-        # pairs is a partial isomorphism; test only the rows with the new pair
-        u, v = pair
-        for p, q in pairs:
-            if (p == u) != (q == v):
-                return False
-        old = tuple(pairs)
-        full = old + (pair,)
-        for arity, rows_a, rows_b in tables:
+    Inside, a position is an ``int`` bitmask over pair ids: the pair of the
+    i-th element of ``a`` and the j-th of ``b`` has id ``i * |b| + j``.  Each
+    position carries ``allowed``, the pairs that may join it: those whose
+    one-pebble rows agree (``self_ok``) and that are compatible with every
+    placed pair on ``=`` and on each relation of arity 2 in both argument
+    orders (the AND of ``row(p)`` over its pairs; rows are built on first
+    use).  Duplicator's replies to Spoiler's element ``x`` are then
+    ``allowed`` masked to the pairs with ``x``, walked in ascending bit
+    order, which is universe order.  Rows of relations of arity >= 3 are
+    still checked pebble by pebble against the placed pairs."""
+    n_b = len(b.universe)
+    size = len(a.universe) * n_b
+    full = (1 << size) - 1
+    # the pairs with the i-th element of a, and with the j-th element of b
+    with_a = [((1 << n_b) - 1) << (i * n_b) for i in range(len(a.universe))]
+    column = sum(1 << (i * n_b) for i in range(len(a.universe)))
+    with_b = [column << j for j in range(n_b)]
+
+    def pairs_of(lines: list[int], flags) -> int:
+        # the pairs whose element on this side is flagged
+        mask = 0
+        for line, flag in zip(lines, flags):
+            if flag:
+                mask |= line
+        return mask
+
+    # per element, masks that must agree between the two sides of a pair:
+    # the pairs that hold it, then per binary relation the pairs whose
+    # element it relates to and those whose element relates to it
+    sig_a = [[line] for line in with_a]
+    sig_b = [[line] for line in with_b]
+    self_ok = full
+    wide = []
+    for name, arity in a.vocab.relations.items():
+        rows_a, rows_b = a.relations[name], b.relations[name]
+        self_ok &= ~(
+            pairs_of(with_a, [(e,) * arity in rows_a for e in a.universe])
+            ^ pairs_of(with_b, [(e,) * arity in rows_b for e in b.universe]))
+        if arity == 2:
+            for sig, lines, s, held in ((sig_a, with_a, a, rows_a),
+                                        (sig_b, with_b, b, rows_b)):
+                for masks, u in zip(sig, s.universe):
+                    masks.append(pairs_of(
+                        lines, [(u, e) in held for e in s.universe]))
+                    masks.append(pairs_of(
+                        lines, [(e, u) in held for e in s.universe]))
+        elif arity > 2:
+            wide.append((arity, rows_a, rows_b))
+    table: list[int | None] = [None] * size
+
+    def row(pid: int) -> int:
+        # the pairs compatible with pair pid, built on first use
+        r = table[pid]
+        if r is None:
+            i, j = divmod(pid, n_b)
+            clash = 0
+            for x, y in zip(sig_a[i], sig_b[j]):
+                clash |= x ^ y
+            r = table[pid] = full ^ clash
+        return r
+
+    def extends_wide(mask: int, pid: int) -> bool:
+        # the rows of relations of arity >= 3 that hold the new pair
+        old = tuple((a.universe[p // n_b], b.universe[p % n_b])
+                    for p in range(size) if mask >> p & 1)
+        pair = (a.universe[pid // n_b], b.universe[pid % n_b])
+        full_pairs = old + (pair,)
+        for arity, rows_a, rows_b in wide:
             for i in range(arity):  # i = position of the first new pebble
                 for head in itertools.product(old, repeat=i):
-                    for tail in itertools.product(full, repeat=arity - i - 1):
+                    for tail in itertools.product(full_pairs,
+                                                  repeat=arity - i - 1):
                         row_a, row_b = zip(*head, pair, *tail)
                         if (row_a in rows_a) != (row_b in rows_b):
                             return False
         return True
 
-    def answered(n: int, left_is_a: bool, pairs: frozenset,
-                 move: tuple[str, ...], right: tuple[str, ...]) -> bool:
-        if not move:
-            # sides swap: the next block of quantifiers is the other kind
-            return dup_wins(n - 1, not left_is_a, pairs)
-        x, rest = move[0], move[1:]
-        for y in right:
-            pair = (x, y) if left_is_a else (y, x)
-            if pair in pairs:
-                grown = pairs
-            elif extends(pairs, pair):
-                grown = pairs | {pair}
+    memo: dict = {}
+    explored = 0
+
+    def answered(n: int, left_is_a: bool, mask: int, allowed: int,
+                 move: tuple[int, ...], lines: list[int]) -> bool:
+        # Duplicator answers move[0], then the rest of Spoiler's move
+        rest = move[1:]
+        replies = allowed & lines[move[0]]
+        while replies:
+            bit = replies & -replies
+            replies ^= bit
+            if mask & bit:
+                grown, narrowed = mask, allowed
             else:
-                continue
-            if answered(n, left_is_a, grown, rest, right):
+                pid = bit.bit_length() - 1
+                if wide and not extends_wide(mask, pid):
+                    continue
+                grown, narrowed = mask | bit, allowed & row(pid)
+            if rest:
+                if answered(n, left_is_a, grown, narrowed, rest, lines):
+                    return True
+            # sides swap: the next block of quantifiers is the other kind
+            elif play(n - 1, not left_is_a, grown, narrowed):
                 return True
         return False
 
-    def dup_wins(n: int, left_is_a: bool, pairs: frozenset) -> bool:
+    def play(n: int, left_is_a: bool, mask: int, allowed: int) -> bool:
         nonlocal explored
         if n == 0:
             return True
-        key = (n, left_is_a, pairs)
+        key = (n, left_is_a, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -143,11 +212,25 @@ def _solver(a: Structure, b: Structure, k: int, max_positions: int):
             raise BudgetExceeded(
                 f"game position budget exhausted: {explored} positions "
                 f"explored, limit {max_positions}")
-        left, right = (a, b) if left_is_a else (b, a)
-        result = all(answered(n, left_is_a, pairs, move, right.universe)
-                     for move in itertools.product(left.universe, repeat=k))
+        lines = with_a if left_is_a else with_b
+        result = True
+        for move in itertools.product(range(len(lines)), repeat=k):
+            if not answered(n, left_is_a, mask, allowed, move, lines):
+                result = False
+                break
         memo[key] = result
         return result
+
+    a_index = {e: i for i, e in enumerate(a.universe)}
+    b_index = {e: j for j, e in enumerate(b.universe)}
+
+    def dup_wins(n: int, left_is_a: bool, pairs: frozenset) -> bool:
+        mask, allowed = 0, self_ok
+        for u, v in pairs:
+            pid = a_index[u] * n_b + b_index[v]
+            mask |= 1 << pid
+            allowed &= row(pid)
+        return play(n, left_is_a, mask, allowed)
 
     return dup_wins
 

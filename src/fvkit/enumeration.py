@@ -38,6 +38,9 @@ from .structure import Structure
 
 # Magnitude guard for materialized tower values (in bits).
 DEFAULT_TOWER_MAX_BITS = 1 << 20
+# Bits of the largest bound count_bound_check returns: 2**14_000 has 4,215
+# decimal digits, and Python refuses to print an int of more than 4,300.
+PRINTABLE_BOUND_BITS = 14_000
 
 
 def tower(level: int, base: int) -> int:
@@ -389,7 +392,8 @@ def count_bound_check(n: int, m: int, t: int, vocab: Vocabulary, bed: TestBed,
     with the tower-of-exponentials bound.
 
     Returns {"count", "bound", "bound_expr", "ok"}; ``bound`` is None when the
-    tower passes the magnitude guard (the comparison is still exact).  Since
+    tower has more than ``PRINTABLE_BOUND_BITS`` bits (the comparison is
+    still exact), so the result always prints as JSON.  Since
     bed-equivalence coarsens logical equivalence the count never exceeds the
     bound on a correct implementation.
     """
@@ -404,10 +408,8 @@ def count_bound_check(n: int, m: int, t: int, vocab: Vocabulary, bed: TestBed,
     arity = max(vocab.relations.values(), default=1)
     base = (len(vocab.relations) + 1) * (n + 1) * (m + t) ** arity
     ok = tower_at_least(n + 2, base, count)
-    try:
-        bound = tower(n + 2, base)
-    except CapExceeded:
-        bound = None
+    printable = not tower_at_least(n + 2, base, 1 << PRINTABLE_BOUND_BITS)
+    bound = tower(n + 2, base) if printable else None
     return {"count": count, "bound": bound,
             "bound_expr": f"tower({n + 2}, {base})", "ok": ok}
 

@@ -135,6 +135,21 @@ def test_count_check(files, capsys):
     assert out["count"] == 4 and out["bound"] == 16 and out["ok"] is True
 
 
+@pytest.mark.parametrize("n,m,expr", [(0, 2, "tower(2, 18)"),
+                                        (1, 0, "tower(3, 4)")])
+def test_count_check_bound_past_printable_size(tmp_path, capsys, n, m, expr):
+    # 2**(2**18) and 2**(2**16) pass the 4,300 digits Python prints
+    structs = tmp_path / "structs"
+    structs.mkdir()
+    save_structure(Structure(VE, ("a", "b"), {"E": frozenset({("a", "b")})}),
+                   str(structs / "s.json"))
+    assert run(["count-check", "--n", str(n), "--m", str(m), "--t", "1",
+                "--vocab", '{"E": 2}', "--structures", str(structs)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["bound"] is None and out["bound_expr"] == expr
+    assert out["ok"] is True
+
+
 def test_check_decomposition(files, capsys):
     assert run(["check-decomposition", "--formula", "(exists (z) (E z z))",
                 "--op", "disjoint-union", "--max-size", "2"]) == 0

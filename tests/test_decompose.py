@@ -394,6 +394,16 @@ def test_malformed_beta_json_is_a_validation_error(beta):
         reduction_from_json(REDUCTION_JSON | {"beta": beta})
 
 
+def test_deep_beta_json_is_a_validation_error():
+    # 600 alternating and/or levels: past the recursive walks of beta
+    beta = {"var": [0, 1]}
+    for level in range(600):
+        beta = {"or" if level % 2 else "and": [{"var": [0, 1]}, beta]}
+    with pytest.raises(ValidationError, match="^reduction JSON nested too "
+                       "deeply$"):
+        reduction_from_json(REDUCTION_JSON | {"beta": beta})
+
+
 @pytest.mark.parametrize("change", [
     {"vocabulary": None}, {"partition": {"left": ["x"]}},
     {"delta1": [5]}, {"delta2": "(E y y)"}, {"partition": ["x"]},

@@ -1,6 +1,7 @@
 """Prefix and tree-prefix game solvers, and separators read off them."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,93 @@ def reference_winner(config, a, a_tuple, b, b_tuple):
 
     won = dup_wins(config.rounds, True, tuple(a_tuple), tuple(b_tuple))
     return Player.Duplicator if won else Player.Spoiler
+
+
+def frozenset_solver(a, b, k):
+    """The game solver prefix_game_winner used before positions became
+    bitmasks: a position is a frozenset of (a-element, b-element) pairs, and
+    a new pair is tested by rebuilding every relation row that holds it.
+    Returns ``dup_wins(rounds, left_is_a, pairs)`` and a one-element list
+    that counts the Spoiler-to-move positions that missed the memo."""
+    tables = [(arity, a.relations[name], b.relations[name])
+              for name, arity in a.vocab.relations.items()]
+    memo = {}
+    explored = [0]
+
+    def extends(pairs, pair):
+        u, v = pair
+        for p, q in pairs:
+            if (p == u) != (q == v):
+                return False
+        old = tuple(pairs)
+        full = old + (pair,)
+        for arity, rows_a, rows_b in tables:
+            for i in range(arity):  # i = position of the first new pebble
+                for head in itertools.product(old, repeat=i):
+                    for tail in itertools.product(full, repeat=arity - i - 1):
+                        row_a, row_b = zip(*head, pair, *tail)
+                        if (row_a in rows_a) != (row_b in rows_b):
+                            return False
+        return True
+
+    def answered(n, left_is_a, pairs, move, right):
+        if not move:
+            return dup_wins(n - 1, not left_is_a, pairs)
+        x, rest = move[0], move[1:]
+        for y in right:
+            pair = (x, y) if left_is_a else (y, x)
+            if pair in pairs:
+                grown = pairs
+            elif extends(pairs, pair):
+                grown = pairs | {pair}
+            else:
+                continue
+            if answered(n, left_is_a, grown, rest, right):
+                return True
+        return False
+
+    def dup_wins(n, left_is_a, pairs):
+        if n == 0:
+            return True
+        key = (n, left_is_a, pairs)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        explored[0] += 1
+        left, right = (a, b) if left_is_a else (b, a)
+        result = all(answered(n, left_is_a, pairs, move, right.universe)
+                     for move in itertools.product(left.universe, repeat=k))
+        memo[key] = result
+        return result
+
+    return dup_wins, explored
+
+
+def frozenset_game(tree, config, a, a_tuple, b, b_tuple):
+    """(winner, positions explored) of the prefix game, or of the tree game
+    when ``tree``, under :func:`frozenset_solver`."""
+    if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
+        return Player.Spoiler, 0
+    dup_wins, explored = frozenset_solver(a, b, config.tuple_size)
+    pairs = frozenset(zip(a_tuple, b_tuple))
+    won = dup_wins(config.rounds, True, pairs) and \
+        (not tree or dup_wins(config.rounds, False, pairs))
+    return (Player.Duplicator if won else Player.Spoiler), explored[0]
+
+
+def assert_same_as_frozenset_solver(tree, config, a, a_tuple, b, b_tuple):
+    """The solver gives the old solver's winner and explores exactly as many
+    positions: it finishes on that budget and raises one below it."""
+    winner, count = frozenset_game(tree, config, a, a_tuple, b, b_tuple)
+    solve = tree_prefix_game_winner if tree else prefix_game_winner
+    args = (config, a, a_tuple, b, b_tuple)
+    assert solve(*args, max_positions=count) is winner, (tree, args)
+    if count:
+        with pytest.raises(BudgetExceeded,
+                           match=f"^game position budget exhausted: {count} "
+                           f"positions explored, limit {count - 1}$"):
+            solve(*args, max_positions=count - 1)
+    return winner
 
 
 def test_game_config_validation():
@@ -269,6 +357,87 @@ def test_find_separator_shares_one_budget():
 def test_game_ladder_cells(n, k, p, q, winner):
     a, b = linear_order(p), linear_order(q, prefix="b")
     assert tree_prefix_game_winner(GameConfig(n, k), a, (), b, ()) == winner
+
+
+# The rungs of the benchmark's game ladder, as (rounds, tuple size).
+LADDER_RUNGS = ((3, 1), (4, 1), (2, 2), (3, 2), (2, 1))
+
+
+def test_bitmask_solver_matches_frozenset_solver_on_ladder_chains():
+    winners = set()
+    for n, k in LADDER_RUNGS:
+        for p in range(2, 6):
+            for q in (p - 1, p):
+                a, b = linear_order(p), linear_order(q, prefix="b")
+                for tree in (False, True):
+                    winners.add(assert_same_as_frozenset_solver(
+                        tree, GameConfig(n, k), a, (), b, ()))
+    assert winners == {Player.Duplicator, Player.Spoiler}
+
+
+def test_bitmask_solver_matches_frozenset_solver_on_small_grids():
+    unary = all_structures(VU, 2)
+    pointed = [(s, ()) for s in unary] + \
+        [(s, (e,)) for s in unary for e in s.universe]
+    for n, k in itertools.product((1, 2), repeat=2):
+        for (a, ta), (b, tb) in itertools.product(pointed, repeat=2):
+            if len(ta) == len(tb):
+                for tree in (False, True):
+                    assert_same_as_frozenset_solver(
+                        tree, GameConfig(n, k), a, ta, b, tb)
+    binary = all_structures(VE, 2)
+    for n, k in ((1, 1), (2, 1), (1, 2)):
+        for a, b in itertools.product(binary, repeat=2):
+            assert_same_as_frozenset_solver(False, GameConfig(n, k),
+                                            a, (), b, ())
+
+
+def random_board(rng, vocab):
+    """A structure over ``vocab`` with 1 or 2 elements, each row present
+    with probability one half."""
+    universe = tuple(f"e{i}" for i in range(rng.randint(1, 2)))
+    return Structure(vocab, universe, {
+        name: frozenset(row
+                        for row in itertools.product(universe, repeat=arity)
+                        if rng.random() < 0.5)
+        for name, arity in vocab.relations.items()})
+
+
+@pytest.mark.parametrize("relations", [{"T": 3}, {"U": 1, "E": 2, "T": 3}])
+def test_bitmask_solver_matches_frozenset_solver_on_ternary_boards(relations):
+    # only here do games meet a relation of arity 3, whose rows the solver
+    # still checks pebble by pebble
+    rng = random.Random(17)
+    vocab = Vocabulary(relations)
+    winners = set()
+    for _ in range(60):
+        a, b = random_board(rng, vocab), random_board(rng, vocab)
+        ta = tb = ()
+        if rng.random() < 0.5:
+            ta, tb = (rng.choice(a.universe),), (rng.choice(b.universe),)
+        n, k = rng.choice(((1, 1), (2, 1), (1, 2)))
+        tree = rng.random() < 0.5
+        winner = assert_same_as_frozenset_solver(tree, GameConfig(n, k),
+                                                 a, ta, b, tb)
+        winners.add((winner, len(a.universe) == len(b.universe)))
+    # Spoiler also wins between boards of one size, where only the
+    # relations can tell them apart
+    assert (Player.Spoiler, True) in winners
+    assert Player.Duplicator in {w for w, _ in winners}
+
+
+def test_long_chains_position_count():
+    # Chains 16/15 at n = 4, k = 1, past the benchmark ladder's longest
+    # chains; the counts are the frozenset solver's.
+    config = GameConfig(4, 1)
+    a, b = linear_order(16), linear_order(15, prefix="b")
+    assert prefix_game_winner(config, a, (), b, (),
+                              max_positions=21805) is Player.Duplicator
+    with pytest.raises(BudgetExceeded,
+                       match="21805 positions explored, limit 21804$"):
+        prefix_game_winner(config, a, (), b, (), max_positions=21804)
+    assert tree_prefix_game_winner(config, a, (), b, (),
+                                   max_positions=44649) is Player.Duplicator
 
 
 @st.composite
