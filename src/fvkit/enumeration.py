@@ -18,12 +18,15 @@ quantifier blocks of length k is decidable bed-wise:
 
 Classes stay bits while they close (by a generator fold, see ``_closure``)
 and project; each level maps a class's bits to how it was first made, and
-only ``enumerate_classes`` turns these recipes into formulas.  The transfer
-oracle (does every existential-class sentence true on the left position hold
-on the right one?) and the class-counting bound check read the bits alone;
-separators are read off the game solver in ``efgame``.  The oracle's level 0
-is the literals alone, left to the level-1 fold to combine.  All orders of
-iteration are deterministic, so repeated runs produce byte-identical output.
+only ``enumerate_classes`` turns these recipes into formulas, for the classes
+its output is built from.  The transfer oracle (does every existential-class
+sentence true on the left position hold on the right one?) and the
+class-counting bound check read the bits alone; separators are read off the
+game solver in ``efgame``.  The oracle's level 0 is the literals alone, left
+to the level-1 fold to combine.  Its bed holds the two boards in a canonical
+order and is cached on the unordered pair, so a query and its reverse share
+one class computation.  All orders of iteration are deterministic, so
+repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -295,6 +298,12 @@ def enumerate_classes(mode: str, n: int, k: int, bed: TestBed,
     """All semantic classes of the level-n prefix class with blocks of
     length k over the bed, in deterministic construction order.
 
+    Representatives are built lazily: a backward walk over the recipes,
+    from the top level down, marks the classes that the output's
+    representatives are made of, and only those are built, level by level
+    in construction order.  Each representative is the one its recipe
+    gives, so the output is the same as building every class's.
+
     Raises CapExceeded (never returns a truncated set) when the caps hit.
     """
     if mode not in (SIGMA, PI):
@@ -303,10 +312,26 @@ def enumerate_classes(mode: str, n: int, k: int, bed: TestBed,
         raise ValidationError("need n >= 0 and k >= 1 for quantified levels")
     levels = _level_classes(mode, n, k, bed, caps or EnumerationCaps(), True)
     # a recipe names only classes made before it, on its level or below
+    needed, wanted = [], set(levels[-1][0])
+    for classes, _ in reversed(levels):
+        below, stack = set(), list(wanted)
+        while stack:
+            how = classes[stack.pop()]
+            if isinstance(how, tuple):
+                for part in how[1:]:
+                    if part not in wanted:
+                        wanted.add(part)
+                        stack.append(part)
+            elif isinstance(how, int):
+                below.add(how)
+        needed.append(wanted)
+        wanted = below
     reps: dict[int, Formula] = {}
-    for classes, prefix in levels:
+    for (classes, prefix), wanted in zip(levels, reversed(needed)):
         below, reps = reps, {}
         for bits, how in classes.items():
+            if bits not in wanted:
+                continue
             if isinstance(how, tuple):
                 how = _join(And if how[0] == "and" else Or,
                             reps[how[1]], reps[how[2]])
@@ -343,8 +368,10 @@ def _level_classes(mode: str, n: int, k: int, bed: TestBed,
 # Transfer oracle
 
 
-# Class bitsets keyed by (n, k, bed, cap).  Past _TRANSFER_CACHE_SIZE
-# entries the oldest goes first, so a long run's memory stays flat.
+# Class bitsets keyed by (n, k, bed, cap).  The oracle's bed holds its two
+# boards in Structure.key() order, so the key names the unordered pair and a
+# query and its reverse share one entry.  Past _TRANSFER_CACHE_SIZE entries the
+# oldest goes first, so a long run's memory stays flat.
 _TRANSFER_CACHE_SIZE = 256
 _transfer_cache: dict[tuple, list[int]] = {}
 
@@ -362,6 +389,13 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
     distinguishing witnesses are conjunctions of row types, which survive
     -- while the class sets stay small enough for n = 2, k = 2 on two
     pointed 2-element boards, where the full pipeline passes the class cap.
+
+    The bed holds the two boards in ``Structure.key()`` order, whichever
+    order the query names them in, and the query reads its two rows on
+    each board's side of it.  A formula's truth on one board does not
+    depend on the other, so the classes of the reversed bed are these with
+    the boards' row blocks swapped, and the two bits read are the same:
+    the reverse query is answered from the same cache entry.
     """
     caps = caps or EnumerationCaps()
     if a1.vocab.relations != a2.vocab.relations:
@@ -369,7 +403,8 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
     if len(a1_tuple) != len(a2_tuple):
         raise ValidationError("anchor tuples must have equal length")
     ctx = tuple(f"x{i + 1}" for i in range(len(a1_tuple)))
-    bed = TestBed((a1, a2), ctx)
+    swap = a2.key() < a1.key()
+    bed = TestBed((a2, a1) if swap else (a1, a2), ctx)
     cache_key = (n, k, bed.key(), caps.max_classes)
     bits_list = _transfer_cache.get(cache_key)
     if bits_list is None:
@@ -377,8 +412,8 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
         if len(_transfer_cache) >= _TRANSFER_CACHE_SIZE:
             del _transfer_cache[next(iter(_transfer_cache))]
         _transfer_cache[cache_key] = bits_list
-    m1 = 1 << bed.row_index(0, tuple(a1_tuple))
-    m2 = 1 << bed.row_index(1, tuple(a2_tuple))
+    m1 = 1 << bed.row_index(int(swap), tuple(a1_tuple))
+    m2 = 1 << bed.row_index(int(not swap), tuple(a2_tuple))
     return all(bits & m2 for bits in bits_list if bits & m1)
 
 

@@ -506,3 +506,143 @@ def test_transfer_oracle_cannot_reach_n4():
     with pytest.raises(CapExceeded, match=r"^class cap exceeded: 200001 "
                        r"classes, limit 200000 \(inconclusive\)$"):
         transfer_oracle(4, 1, chain, (), chain, ())
+
+
+# ---------------------------------------------------------------------------
+# The transfer oracle shares one bed between a query and its reverse
+
+
+def _pointed_grid():
+    """The <=2-element {U: 1} boards, each with no point and with every
+    point."""
+    structs = all_structures(VU, 2)
+    return structs, [((), ())] + [((e,), (f,)) for e in structs[-1].universe
+                                   for f in structs[-1].universe]
+
+
+def test_transfer_oracle_reverse_hits_the_cache(monkeypatch):
+    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    inner = enumeration._level_classes
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:3])
+        return inner(*args)
+    monkeypatch.setattr(enumeration, "_level_classes", counting)
+    structs = all_structures(VU, 2)
+    for a, b in itertools.permutations(structs[2:], 2):
+        ta, tb = (a.universe[0],), (b.universe[1],)
+        forward = transfer_oracle(2, 2, a, ta, b, tb)
+        assert calls, "the forward query computes its bed"
+        size = len(enumeration._transfer_cache)
+        calls.clear()
+        backward = transfer_oracle(2, 2, b, tb, a, ta)
+        assert calls == [] and len(enumeration._transfer_cache) == size
+        for answer, cfg_args in ((forward, (a, ta, b, tb)),
+                                 (backward, (b, tb, a, ta))):
+            assert answer == (prefix_game_winner(GameConfig(2, 2), *cfg_args)
+                              == Player.Duplicator)
+        monkeypatch.setattr(enumeration, "_transfer_cache", {})
+
+
+def test_transfer_oracle_either_order_matches_reference(monkeypatch):
+    structs, tuples = _pointed_grid()
+    checked = 0
+    for x, y in itertools.combinations_with_replacement(structs, 2):
+        # y.key() > x.key(): (y, x) is the order the oracle swaps
+        first, second = (y, x) if x.key() < y.key() else (x, y)
+        for n, k in ((1, 1), (2, 1), (2, 2)):
+            for t in (0, 1):
+                monkeypatch.setattr(enumeration, "_transfer_cache", {})
+                for a, b in ((first, second), (second, first)):
+                    bed = TestBed((a, b), ("x1",)[:t])
+                    classes = _ref_level_classes("sigma", n, k, bed,
+                                                 EnumerationCaps(), False)
+                    for ta, tb in tuples:
+                        if len(ta) != t or not (set(ta) <= a.elements
+                                                and set(tb) <= b.elements):
+                            continue
+                        m1 = 1 << bed.row_index(0, ta)
+                        m2 = 1 << bed.row_index(1, tb)
+                        want = all(c.bits & m2 for c in classes
+                                   if c.bits & m1)
+                        assert transfer_oracle(n, k, a, ta, b, tb) == want
+                        checked += 1
+                # one entry served both orders
+                assert len(enumeration._transfer_cache) == 1
+    assert checked == 480
+
+
+def test_transfer_oracle_cap_is_the_same_in_either_order(monkeypatch):
+    structs = all_structures(VU, 2)
+    a, b = structs[3], structs[4]
+    assert a.key() < b.key()
+    # the seeds pass the first cap, a level-1 fold the second
+    for cap, count in ((6, 32), (1000, 1001)):
+        caps = EnumerationCaps(max_classes=cap)
+        message = (f"class cap exceeded: {count} classes, limit {cap} "
+                   "(inconclusive)")
+        for x, tx, y, ty in ((a, ("e0",), b, ("e1",)),
+                             (b, ("e1",), a, ("e0",))):
+            monkeypatch.setattr(enumeration, "_transfer_cache", {})
+            with pytest.raises(CapExceeded) as exc:
+                transfer_oracle(2, 2, x, tx, y, ty, caps)
+            assert str(exc.value) == message
+            assert _outcome(_ref_level_classes, "sigma", 2, 2,
+                            TestBed((x, y), ("x1",)), caps, False) == message
+            assert enumeration._transfer_cache == {}
+
+
+# ---------------------------------------------------------------------------
+# Lazy representatives against the forward builder that made every class's
+
+
+def _forward_representatives(levels):
+    """Build a representative for every class on every level, in
+    construction order, and return the top level's as ``enumerate_classes``
+    does."""
+    reps = {}
+    for classes, prefix in levels:
+        below, reps = reps, {}
+        for bits, how in classes.items():
+            if isinstance(how, tuple):
+                how = enumeration._join(And if how[0] == "and" else Or,
+                                        reps[how[1]], reps[how[2]])
+            elif isinstance(how, int):
+                how = below[how]
+                for kind, name in reversed(prefix):
+                    how = kind(name, how)
+            reps[bits] = how
+    return [SemanticClass(bits, reps[bits]) for bits in levels[-1][0]]
+
+
+# the class-enum benchmark's enumeration cells (mode, n, k, context length)
+# on the <=2-element {U: 1} bed, plus the cell whose levels hold 16,384,
+# 400 and 64 classes
+ENUM_CELLS = tuple((mode, n, k, t) for mode in ("sigma", "pi")
+                   for n, k, t in ((0, 1, 0), (0, 1, 1), (1, 1, 0),
+                                   (1, 1, 1), (1, 2, 0), (2, 1, 0))
+                   ) + (("sigma", 2, 1, 1),)
+
+
+def test_lazy_representatives_match_forward_builder():
+    for mode, n, k, t in ENUM_CELLS:
+        bed = u_bed(("x1",)[:t])
+        levels = enumeration._level_classes(mode, n, k, bed,
+                                            EnumerationCaps(), True)
+        want = _printed(_forward_representatives(levels))
+        assert _printed(enumerate_classes(mode, n, k, bed)) == want, \
+            (mode, n, k, t)
+
+
+def test_lazy_representatives_build_only_what_is_needed(monkeypatch):
+    joins = []
+    inner = enumeration._join
+
+    def counting(*args):
+        joins.append(args[0])
+        return inner(*args)
+    monkeypatch.setattr(enumeration, "_join", counting)
+    classes = enumerate_classes("sigma", 2, 1, u_bed(("x1",)))
+    # the forward builder makes 16,370 joins on this cell
+    assert len(classes) == 64 and len(joins) == 80
