@@ -110,7 +110,7 @@ def out_of_range(rng, high=2):
 
 class Case:
     def __init__(self, rng, tmp_path, index):
-        self.rng, self.index = rng, index
+        self.rng = rng
         self.dir = tmp_path / f"case{index}"
         self.dir.mkdir()
         self.files = 0

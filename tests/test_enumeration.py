@@ -512,21 +512,13 @@ def test_transfer_oracle_cannot_reach_n4():
 # The transfer oracle shares one bed between a query and its reverse
 
 
-def _pointed_grid():
-    """The <=2-element {U: 1} boards, each with no point and with every
-    point."""
-    structs = all_structures(VU, 2)
-    return structs, [((), ())] + [((e,), (f,)) for e in structs[-1].universe
-                                   for f in structs[-1].universe]
-
-
 def test_transfer_oracle_reverse_hits_the_cache(monkeypatch):
     monkeypatch.setattr(enumeration, "_transfer_cache", {})
     inner = enumeration._level_classes
     calls = []
 
     def counting(*args):
-        calls.append(args[:3])
+        calls.append(args)
         return inner(*args)
     monkeypatch.setattr(enumeration, "_level_classes", counting)
     structs = all_structures(VU, 2)
@@ -546,10 +538,13 @@ def test_transfer_oracle_reverse_hits_the_cache(monkeypatch):
 
 
 def test_transfer_oracle_either_order_matches_reference(monkeypatch):
-    structs, tuples = _pointed_grid()
+    # the <=2-element {U: 1} boards, with no point and with every point
+    structs = all_structures(VU, 2)
+    tuples = [((), ())] + [((e,), (f,)) for e in ("e0", "e1")
+                           for f in ("e0", "e1")]
     checked = 0
     for x, y in itertools.combinations_with_replacement(structs, 2):
-        # y.key() > x.key(): (y, x) is the order the oracle swaps
+        # first has the larger key: the oracle swaps (first, second)
         first, second = (y, x) if x.key() < y.key() else (x, y)
         for n, k in ((1, 1), (2, 1), (2, 2)):
             for t in (0, 1):
