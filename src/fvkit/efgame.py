@@ -173,6 +173,9 @@ def _solver(a: Structure, b: Structure, k: int, max_positions: int):
                             return False
         return True
 
+    # past a board's size, a move only repeats elements: no new pairs
+    reach = {True: [range(len(with_a))] * min(k, len(with_a)),
+             False: [range(n_b)] * min(k, n_b)}
     memo: dict = {}
     explored = 0
 
@@ -214,7 +217,7 @@ def _solver(a: Structure, b: Structure, k: int, max_positions: int):
                 f"explored, limit {max_positions}")
         lines = with_a if left_is_a else with_b
         result = True
-        for move in itertools.product(range(len(lines)), repeat=k):
+        for move in itertools.product(*reach[left_is_a]):
             if not answered(n, left_is_a, mask, allowed, move, lines):
                 result = False
                 break
@@ -273,7 +276,7 @@ def find_separator(n: int, k: int, a1: Structure, a2: Structure,
     """
     if n < 1 or k < 1:
         raise ValidationError("separator search needs n >= 1 and k >= 1")
-    if a1.vocab.relations != a2.vocab.relations:
+    if a1.vocab != a2.vocab:
         raise ValidationError("vocabulary mismatch")
     dup_wins = _solver(a1, a2, k, max_positions)
 

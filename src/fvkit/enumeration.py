@@ -23,8 +23,8 @@ its output is built from.  The transfer oracle (does every existential-class
 sentence true on the left position hold on the right one?) and the
 class-counting bound check read the bits alone; separators are read off the
 game solver in ``efgame``.  The oracle's level 0 is the literals alone, left
-to the level-1 fold to combine.  Its bed holds the two boards in a canonical
-order and is cached on the unordered pair, so a query and its reverse share
+to the level-1 fold to combine.  Its cache is keyed on the boards
+themselves, which are hashable values, and a query and its reverse share
 one class computation.  All orders of iteration are deterministic, so
 repeated runs produce byte-identical output.
 """
@@ -109,9 +109,8 @@ class TestBed:
         if not structures:
             raise ValidationError("empty test bed")
         vocab = structures[0].vocab
-        for s in structures:
-            if s.vocab.relations != vocab.relations:
-                raise ValidationError("test-bed structures must share a vocabulary")
+        if any(s.vocab != vocab for s in structures):
+            raise ValidationError("test-bed structures must share a vocabulary")
         names = tuple(var_context)
         if len(set(names)) != len(names):
             raise ValidationError("duplicate context variables")
@@ -142,9 +141,6 @@ class TestBed:
         return self.offsets[structure_index] + sum(
             universe.index(e) * len(universe) ** p
             for p, e in enumerate(reversed(key[1])))
-
-    def key(self) -> tuple:
-        return (tuple(s.key() for s in self.structures), self.var_context)
 
 
 def _fresh_names(ctx: tuple[str, ...], k: int) -> tuple[str, ...]:
@@ -368,12 +364,12 @@ def _level_classes(mode: str, n: int, k: int, bed: TestBed,
 # Transfer oracle
 
 
-# Class bitsets keyed by (n, k, bed, cap).  The oracle's bed holds its two
-# boards in Structure.key() order, so the key names the unordered pair and a
-# query and its reverse share one entry.  Past _TRANSFER_CACHE_SIZE entries the
-# oldest goes first, so a long run's memory stays flat.
+# (bed, class bitsets) keyed by (n, k, a1, a2, anchor length, cap), the
+# boards in the order of the query that built the bed; the reverse query
+# finds the entry under the swapped key.  Past _TRANSFER_CACHE_SIZE entries
+# the oldest goes first, so a long run's memory stays flat.
 _TRANSFER_CACHE_SIZE = 256
-_transfer_cache: dict[tuple, list[int]] = {}
+_transfer_cache: dict[tuple, tuple[TestBed, list[int]]] = {}
 
 
 def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
@@ -390,28 +386,28 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
     -- while the class sets stay small enough for n = 2, k = 2 on two
     pointed 2-element boards, where the full pipeline passes the class cap.
 
-    The bed holds the two boards in ``Structure.key()`` order, whichever
-    order the query names them in, and the query reads its two rows on
-    each board's side of it.  A formula's truth on one board does not
-    depend on the other, so the classes of the reversed bed are these with
-    the boards' row blocks swapped, and the two bits read are the same:
-    the reverse query is answered from the same cache entry.
+    A query and its reverse share one cached bed, whichever built it: a
+    formula's truth on one board does not depend on the other, so the
+    reversed bed's classes are these with the boards' row blocks swapped,
+    and the query reads its two rows on each board's side of the bed.
     """
     caps = caps or EnumerationCaps()
-    if a1.vocab.relations != a2.vocab.relations:
+    if a1.vocab != a2.vocab:
         raise ValidationError("vocabulary mismatch")
     if len(a1_tuple) != len(a2_tuple):
         raise ValidationError("anchor tuples must have equal length")
-    ctx = tuple(f"x{i + 1}" for i in range(len(a1_tuple)))
-    swap = a2.key() < a1.key()
-    bed = TestBed((a2, a1) if swap else (a1, a2), ctx)
-    cache_key = (n, k, bed.key(), caps.max_classes)
-    bits_list = _transfer_cache.get(cache_key)
-    if bits_list is None:
-        bits_list = list(_level_classes(SIGMA, n, k, bed, caps, False)[-1][0])
+    key = (n, k, a1, a2, len(a1_tuple), caps.max_classes)
+    hit, swap = _transfer_cache.get(key), False
+    if hit is None:
+        hit = _transfer_cache.get((n, k, a2, a1) + key[4:])
+        swap = hit is not None
+    if hit is None:
+        bed = TestBed((a1, a2), tuple(f"x{i + 1}" for i in range(key[4])))
+        hit = bed, list(_level_classes(SIGMA, n, k, bed, caps, False)[-1][0])
         if len(_transfer_cache) >= _TRANSFER_CACHE_SIZE:
             del _transfer_cache[next(iter(_transfer_cache))]
-        _transfer_cache[cache_key] = bits_list
+        _transfer_cache[key] = hit
+    bed, bits_list = hit
     m1 = 1 << bed.row_index(int(swap), tuple(a1_tuple))
     m2 = 1 << bed.row_index(int(not swap), tuple(a2_tuple))
     return all(bits & m2 for bits in bits_list if bits & m1)
@@ -435,7 +431,7 @@ def count_bound_check(n: int, m: int, t: int, vocab: Vocabulary, bed: TestBed,
     caps = caps or EnumerationCaps()
     if t != len(bed.var_context):
         raise ValidationError("t must equal the bed's context length")
-    if vocab.relations != bed.vocab.relations:
+    if vocab != bed.vocab:
         raise ValidationError("vocabulary mismatch with the bed")
     if n < 0 or m < 0:
         raise ValidationError("n and m must be >= 0")

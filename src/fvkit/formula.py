@@ -43,13 +43,15 @@ SIGMA = "sigma"
 PI = "pi"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
-    """A finite relational vocabulary: relation name -> arity (>= 1)."""
+    """A finite relational vocabulary, relation name -> arity (>= 1): an
+    immutable value over its own read-only dict, hash agreeing with ``==``."""
 
     relations: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "relations", dict(self.relations))
         for name, arity in self.relations.items():
             if name in RESERVED_NAMES:
                 raise ValidationError(f"reserved relation name: {name!r}")
@@ -65,16 +67,15 @@ class Vocabulary:
     def __contains__(self, name: str) -> bool:
         return name in self.relations
 
-    def key(self) -> tuple[tuple[str, int], ...]:
-        """Hashable identity, insertion order preserved."""
-        return tuple(self.relations.items())
+    def __hash__(self) -> int:
+        return hash(frozenset(self.relations.items()))
 
 
 def vocabulary_from_json(data: dict) -> Vocabulary:
     """Build a vocabulary from its JSON form, e.g. ``{"E": 2, "U": 1}``."""
     if not isinstance(data, dict):
         raise ValidationError("vocabulary JSON must be an object")
-    return Vocabulary(dict(data))
+    return Vocabulary(data)
 
 
 def vocabulary_to_json(vocab: Vocabulary) -> dict:

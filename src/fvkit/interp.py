@@ -106,7 +106,7 @@ def load_interpretation(path: str) -> Interpretation:
 def apply_interpretation(xi: Interpretation, source: Structure) -> Structure:
     """Build the interpreted structure; element ids and their order are
     inherited from the source.  An empty carved-out universe is an error."""
-    if source.vocab.relations != xi.source_vocab.relations:
+    if source.vocab != xi.source_vocab:
         raise ValidationError("structure vocabulary does not match the interpretation")
     universe = tuple(e for e in source.universe
                      if evaluate(source, xi.universe_formula, {"x1": e}))
@@ -278,6 +278,6 @@ def builtin(name: str, params: dict | None = None) -> SumLikeOp:
         raise ValidationError(f"unknown builtin operation {name!r}")
     if params:
         raise ValidationError(f"unexpected parameters {sorted(params)}")
-    source = Vocabulary(dict(target.relations) | {MARK: 1})
+    source = Vocabulary(target.relations | {MARK: 1})
     xi = Interpretation(source, target, TOP, rels)
     return SumLikeOp(name, xi)

@@ -14,7 +14,7 @@ from .formula import Vocabulary, vocabulary_from_json, vocabulary_to_json
 MARK = "P"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Structure:
     """A finite structure: ordered universe of element ids plus one relation
     table per vocabulary symbol.
@@ -23,7 +23,9 @@ class Structure:
     never reorder elements).  Every relation of the vocabulary is present,
     possibly empty, and tables only mention universe elements.  The set of
     elements is kept as ``elements``, which is not a field, so ``==``,
-    ``repr`` and JSON see only the fields.
+    ``repr`` and JSON see only the fields.  A structure is an immutable
+    value with read-only tables; its hash agrees with ``==``, so it can key
+    a dict.
     """
 
     vocab: Vocabulary
@@ -33,8 +35,8 @@ class Structure:
     def __post_init__(self) -> None:
         if not self.universe:
             raise ValidationError("empty universe")
-        elems = self.elements = frozenset(self.universe)
-        if len(elems) != len(self.universe):
+        object.__setattr__(self, "elements", frozenset(self.universe))
+        if len(self.elements) != len(self.universe):
             raise ValidationError("duplicate element ids")
         tables = {}
         for name, arity in self.vocab.relations.items():
@@ -44,23 +46,21 @@ class Structure:
                 if len(row) != arity:
                     raise ValidationError(
                         f"relation {name!r}: row {row!r} has wrong arity")
-                if not set(row) <= elems:
+                if not set(row) <= self.elements:
                     raise ValidationError(
                         f"relation {name!r}: row {row!r} mentions unknown elements")
             tables[name] = rows
         extra = set(self.relations) - set(self.vocab.relations)
         if extra:
             raise ValidationError(f"relations not in vocabulary: {sorted(extra)}")
-        self.relations = tables
+        object.__setattr__(self, "relations", tables)
+
+    def __hash__(self) -> int:
+        return hash((self.vocab, self.universe,
+                     frozenset(self.relations.items())))
 
     def has(self, relation: str, row: tuple[str, ...]) -> bool:
         return row in self.relations[relation]
-
-    def key(self) -> tuple:
-        """Hashable identity used for caching."""
-        return (self.vocab.key(), self.universe,
-                tuple((name, tuple(sorted(rows)))
-                      for name, rows in self.relations.items()))
 
 
 def structure_to_json(s: Structure) -> dict:
@@ -124,11 +124,11 @@ def annotated_disjoint_union(a: Structure, b: Structure) -> Structure:
     elements.  Both inputs must share a vocabulary that does not already
     contain the marker relation.
     """
-    if a.vocab.relations != b.vocab.relations:
+    if a.vocab != b.vocab:
         raise ValidationError("vocabulary mismatch between summands")
     if MARK in a.vocab:
         raise ValidationError(f"vocabulary already contains {MARK!r}")
-    vocab = Vocabulary(dict(a.vocab.relations) | {MARK: 1})
+    vocab = Vocabulary(a.vocab.relations | {MARK: 1})
     left = tuple("L:" + e for e in a.universe)
     right = tuple("R:" + e for e in b.universe)
     relations: dict[str, frozenset[tuple[str, ...]]] = {}
@@ -161,7 +161,7 @@ def _first_difference(a: Structure, a_tuple: tuple[str, ...],
     Raises ValidationError on a vocabulary mismatch, tuples of different
     lengths, or a tuple element outside its universe.
     """
-    if a.vocab.relations != b.vocab.relations:
+    if a.vocab != b.vocab:
         raise ValidationError("vocabulary mismatch")
     if len(a_tuple) != len(b_tuple):
         raise ValidationError("tuple length mismatch")

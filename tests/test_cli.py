@@ -47,6 +47,18 @@ def test_game(files, capsys):
     assert capsys.readouterr().out.strip() == "duplicator"
 
 
+@pytest.mark.parametrize("k", [5000, 10 ** 9])
+@pytest.mark.parametrize("mode", ["prefix", "tree"])
+def test_game_tuple_larger_than_board(files, capsys, mode, k):
+    # a move never needs more elements than its board has
+    for right, winner in (("loop.json", "duplicator"),
+                          ("edgeless.json", "spoiler")):
+        assert run(["game", "--mode", mode, "--n", "2", "--k", str(k),
+                    "--left", str(files / "loop.json"),
+                    "--right", str(files / right)]) == 0
+        assert capsys.readouterr().out.strip() == winner
+
+
 def test_eval(files, capsys):
     assert run(["eval", "--structure", str(files / "loop.json"),
                 "--formula", "(exists (z) (E z z))"]) == 0

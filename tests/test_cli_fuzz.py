@@ -7,7 +7,8 @@ formula text, and by drawing ``--n``/``--k``/``--m``/``--t``/
 exception escaping ``run``.  The seed and the case count are fixed, so the
 cases are the same on every run.  Work is bounded by input size, not by
 timers: boards have at most two elements and formulas a handful of nodes,
-numeric options stay small where they set the size of a search, and a
+numeric options stay small where they set the size of a search (a game's
+``--k`` may be huge: a move never has more elements than its board), and a
 large class cap comes only with a shallow level.
 """
 
@@ -183,7 +184,7 @@ def game_args(c):
     left, right = c.rng.choice(BOARDS[vocab]), c.rng.choice(BOARDS[vocab])
     return ["game", "--mode", c.rng.choice(["prefix", "tree"]),
             "--n", str(out_of_range(c.rng, high=3)),
-            "--k", str(out_of_range(c.rng)),
+            "--k", str(out_of_range(c.rng, high=10 ** 9)),
             "--left", c.file(left), "--right", c.file(right),
             "--left-tuple", c.rng.choice(["", "", "a", "c,d", "zz"]),
             "--right-tuple", c.rng.choice(["", "", "b", "c", "a,a"])]

@@ -13,7 +13,8 @@ from fvkit import (BOT, TOP, And, BudgetExceeded, CapExceeded,
                    Vocabulary, classify, count_bound_check,
                    enumerate_classes, evaluate, find_separator,
                    free_variables, parse_formula, prefix_game_winner,
-                   print_formula, tower, transfer_oracle)
+                   print_formula, structure_from_json, structure_to_json,
+                   tower, transfer_oracle)
 from fvkit import enumeration
 from conftest import all_structures, linear_order
 
@@ -457,8 +458,8 @@ def test_pipeline_matches_reference(monkeypatch):
                 want = _outcome(_ref_level_classes, mode, n, k, bed, cap,
                                 True)
                 got = _outcome(enumerate_classes, mode, n, k, bed, cap)
-                assert _printed(got) == _printed(want), (bed.key(), mode, n,
-                                                         k, cap)
+                assert _printed(got) == _printed(want), (
+                    bed.structures, bed.var_context, mode, n, k, cap)
     count_cells = [(bed, n, m) for bed in beds[:2] + beds[3:5]
                    for n in (0, 1) for m in (0, 1, 2)]
     for bed, n, m in count_cells:
@@ -544,8 +545,8 @@ def test_transfer_oracle_either_order_matches_reference(monkeypatch):
                            for f in ("e0", "e1")]
     checked = 0
     for x, y in itertools.combinations_with_replacement(structs, 2):
-        # first has the larger key: the oracle swaps (first, second)
-        first, second = (y, x) if x.key() < y.key() else (x, y)
+        # the first query builds the bed, the second reads it swapped
+        first, second = x, y
         for n, k in ((1, 1), (2, 1), (2, 2)):
             for t in (0, 1):
                 monkeypatch.setattr(enumeration, "_transfer_cache", {})
@@ -571,7 +572,7 @@ def test_transfer_oracle_either_order_matches_reference(monkeypatch):
 def test_transfer_oracle_cap_is_the_same_in_either_order(monkeypatch):
     structs = all_structures(VU, 2)
     a, b = structs[3], structs[4]
-    assert a.key() < b.key()
+    assert a != b
     # the seeds pass the first cap, a level-1 fold the second
     for cap, count in ((6, 32), (1000, 1001)):
         caps = EnumerationCaps(max_classes=cap)
@@ -586,6 +587,48 @@ def test_transfer_oracle_cap_is_the_same_in_either_order(monkeypatch):
             assert _outcome(_ref_level_classes, "sigma", 2, 2,
                             TestBed((x, y), ("x1",)), caps, False) == message
             assert enumeration._transfer_cache == {}
+
+
+def test_transfer_oracle_keys_on_board_values(monkeypatch):
+    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    inner = enumeration._level_classes
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(enumeration, "_level_classes", counting)
+    a, b = all_structures(VU, 2)[3:5]
+    transfer_oracle(2, 2, a, ("e0",), b, ("e1",))
+    assert calls and len(enumeration._transfer_cache) == 1
+    # equal boards that are other objects find the entry in either order
+    a2, b2 = (structure_from_json(structure_to_json(s)) for s in (a, b))
+    assert (a2, b2) == (a, b) and a2 is not a and b2 is not b
+    for query in ((a2, ("e0",), b2, ("e1",)), (b2, ("e1",), a2, ("e0",))):
+        calls.clear()
+        answer = transfer_oracle(2, 2, *query)
+        assert calls == [] and len(enumeration._transfer_cache) == 1
+        assert answer == (prefix_game_winner(GameConfig(2, 2), *query)
+                          == Player.Duplicator)
+
+
+def test_transfer_oracle_hit_builds_no_bed(monkeypatch):
+    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    built = []
+
+    class CountingBed(TestBed):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(enumeration, "TestBed", CountingBed)
+    a, b = all_structures(VU, 2)[3:5]
+    transfer_oracle(1, 1, a, ("e0",), b, ("e1",))
+    assert built
+    built.clear()
+    for query in ((a, ("e0",), b, ("e1",)), (b, ("e1",), a, ("e0",)),
+                  (a, ("e1",), b, ("e0",)), (b, ("e0",), a, ("e1",))):
+        transfer_oracle(1, 1, *query)
+    assert built == [] and len(enumeration._transfer_cache) == 1
 
 
 # ---------------------------------------------------------------------------

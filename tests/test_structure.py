@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +43,47 @@ def test_element_set_stays_out_of_fields():
                                     "relations": {"E": [["a", "b"]]}}
     assert s == structure_from_json(structure_to_json(s))
     assert s != Structure(VE, ("a", "b"), s.relations)
+
+
+# ---------------------------------------------------------------------------
+# Structures and vocabularies are immutable, hashable values
+
+
+def test_equal_structures_hash_alike():
+    s = Structure(Vocabulary({"E": 2, "U": 1}), ("a", "b"),
+                  {"E": frozenset({("a", "b"), ("b", "b")}),
+                   "U": frozenset({("a",)})})
+    copies = [
+        # other insertion orders of the vocabulary, the tables and the rows
+        Structure(Vocabulary({"U": 1, "E": 2}), ("a", "b"),
+                  {"U": [("a",)], "E": [("b", "b"), ("a", "b")]}),
+        structure_from_json(structure_to_json(s)),
+        pickle.loads(pickle.dumps(s)),
+    ]
+    for t in copies:
+        assert t is not s and t == s and hash(t) == hash(s)
+        assert t.elements == s.elements
+    assert len({s, *copies}) == 1
+    assert Structure(s.vocab, ("b", "a"), s.relations) not in {s}
+
+
+def test_structures_and_vocabularies_are_frozen():
+    vocab = Vocabulary({"E": 2})
+    s = Structure(vocab, ("a",), {"E": frozenset({("a", "a")})})
+    for value, name, new in ((s, "relations", {}), (s, "universe", ("b",)),
+                             (vocab, "relations", {"U": 1})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, new)
+    assert s == LOOP and vocab == VE
+
+
+def test_vocabulary_keeps_its_own_dict():
+    given = {"E": 2}
+    vocab = Vocabulary(given)
+    before = hash(vocab)
+    given["U"] = 1
+    assert vocab == VE and vocab != Vocabulary(given)
+    assert hash(vocab) == before == hash(VE)
 
 
 def test_annotated_disjoint_union_example():
