@@ -319,15 +319,18 @@ def _distribute(p: PropFormula, delta1: tuple[Formula, ...],
         return {1 << i: (i,)}
 
     def junction(is_and: bool, children) -> dict[int, tuple[int, ...]]:
+        # each child is distributed when its turn comes, in this loop: a
+        # generator expression would cost a second frame per level
         if is_and != conj:
             # blocks accumulate across children
             seen: dict[int, tuple[int, ...]] = {}
-            for blocks in children:
-                for mask, picks in blocks.items():
+            for c in children:
+                for mask, picks in rec(c).items():
                     seen.setdefault(mask, picks)
             return _prune(seen)
         acc = empty
-        for blocks in children:
+        for c in children:
+            blocks = rec(c)
             nxt: dict[int, tuple[int, ...]] = {}
             for ms, ps in acc.items():
                 for mt, pt in blocks.items():
@@ -342,6 +345,8 @@ def _distribute(p: PropFormula, delta1: tuple[Formula, ...],
         return acc
 
     def rec(q) -> dict[int, tuple[int, ...]]:
+        if isinstance(q, dict):  # blocks already distributed
+            return q
         if isinstance(q, PVar):
             return leaf(q.side, (delta1 if q.side == 1 else delta2)[q.index])
         if isinstance(q, _Pairs):
@@ -351,7 +356,7 @@ def _distribute(p: PropFormula, delta1: tuple[Formula, ...],
             if len(q.delta1) == 1:
                 return next(pairs)
             return junction(not pair_and, pairs)
-        return junction(isinstance(q, And), (rec(c) for c in q.children))
+        return junction(isinstance(q, And), q.children)
 
     out = []
     for picks in rec(p).values():
@@ -471,7 +476,10 @@ class _Engine:
             return self._literal(f)
         if isinstance(f, (And, Or)):
             if is_quantifier_free(f):
-                return type(f)(tuple(self._rec(c) for c in f.children))
+                kids = []  # a plain loop: one frame fewer per level
+                for c in f.children:
+                    kids.append(self._rec(c))
+                return type(f)(tuple(kids))
             return self._connective(f)
         if isinstance(f, Exists):
             return self._quantifier(f, SIGMA)

@@ -23,8 +23,9 @@ conjunction, where branches may start with either quantifier.
 
 Spoiler wins the n-round prefix game on two structures exactly when some
 existential level-n, block-k sentence is true on the left and false on the
-right; :func:`find_separator` reads such a sentence off Spoiler's winning
-moves (the Hintikka-formula construction).
+right.  :func:`find_separator` reads one off the solver (the Hintikka-formula
+construction): Spoiler's first winning move as ``answered`` finds it, replies
+refused by the compatibility table, and moves of min(k, |U|) elements.
 """
 
 from __future__ import annotations
@@ -65,36 +66,30 @@ def prefix_game_winner(config: GameConfig, a: Structure,
                        max_positions: int = DEFAULT_POSITION_BUDGET) -> Player:
     """Solve the prefix game started with Spoiler to move on ``a``.
 
-    Deterministic exhaustive minimax.  A position is the set of pebble pairs
-    ``(a-element, b-element)`` placed so far, with the rounds left and the
-    board Spoiler moves on; order and repeats in the tuples do not matter,
-    since the final check reads only that set.  The start tuples are checked
-    once with :func:`is_partial_isomorphism`.  Duplicator's reply is then
-    searched one element at a time, in universe order, and an element whose
-    pair breaks the partial isomorphism is refused at once: the property is
-    hereditary, so every extension of that reply loses too.  Every position
-    reached is thus a partial isomorphism, and one with no rounds left is
-    Duplicator's.
-
-    Results are memoized on ``(rounds left, side, set of pairs)``, the set
-    held as a bitmask (see :func:`_solver`).  The budget counts
-    Spoiler-to-move positions that miss the memo; past ``max_positions`` of
-    them the call raises BudgetExceeded instead of running unbounded.
+    Deterministic exhaustive minimax over sets of pebble pairs, memoized on
+    ``(rounds left, side, set of pairs)`` (see :func:`_solver`).  The start
+    tuples are checked once with :func:`is_partial_isomorphism`; after that
+    a reply element whose pair breaks the partial isomorphism is refused at
+    once, so every position reached is one, and one with no rounds left is
+    Duplicator's.  The budget counts Spoiler-to-move positions that miss
+    the memo; past ``max_positions`` of them the call raises BudgetExceeded
+    instead of running unbounded.
     """
     a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
     if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
         # every final position extends the start
         return Player.Spoiler
-    dup_wins = _solver(a, b, config.tuple_size, max_positions)
+    dup_wins = _solver(a, b, config.tuple_size, max_positions)[0]
     won = dup_wins(config.rounds, True, frozenset(zip(a_tuple, b_tuple)))
     return Player.Duplicator if won else Player.Spoiler
 
 
 def _solver(a: Structure, b: Structure, k: int, max_positions: int):
-    """``dup_wins(rounds, left_is_a, pairs)``: does Duplicator win with
-    ``rounds`` rounds left, Spoiler to move on ``a`` (else ``b``), from the
-    partial isomorphism ``pairs`` of (a, b) elements?  All calls share one
-    memo and one budget of ``max_positions`` positions.
+    """``(dup_wins, separate)``.  ``dup_wins(rounds, left_is_a, pairs)``: does
+    Duplicator win with ``rounds`` rounds left, Spoiler to move on ``a``
+    (else ``b``), from the partial isomorphism ``pairs`` of (a, b) elements?
+    ``separate(rounds)`` is :func:`find_separator`'s sentence.  All calls
+    share one memo and one budget of ``max_positions`` positions.
 
     Inside, a position is an ``int`` bitmask over pair ids: the pair of the
     i-th element of ``a`` and the j-th of ``b`` has id ``i * |b| + j``.  Each
@@ -235,7 +230,50 @@ def _solver(a: Structure, b: Structure, k: int, max_positions: int):
             allowed &= row(pid)
         return play(n, left_is_a, mask, allowed)
 
-    return dup_wins
+    def separate(n: int, left_is_a: bool = True, mask: int = 0,
+                 allowed: int = self_ok, pebbles: tuple = (), first: int = 0
+                 ) -> Formula | None:
+        # pebbles are (variable, a-element, b-element), in pebble order
+        lines = with_a if left_is_a else with_b
+        for move in itertools.product(*reach[left_is_a]):
+            if not answered(n, left_is_a, mask, allowed, move, lines):
+                break
+        else:
+            return None
+        names = [f"z{first + i + 1}" for i in range(k)]
+        parts: dict[Formula, None] = {}  # distinct, in first-seen order
+
+        def walk(mask: int, allowed: int, pebbles: tuple, i: int) -> None:
+            # Duplicator's replies to move[i:], in answered's order
+            replies = lines[move[i]]
+            while replies:
+                bit = replies & -replies
+                replies ^= bit
+                pid = bit.bit_length() - 1
+                placed = pebbles + (
+                    (names[i], a.universe[pid // n_b], b.universe[pid % n_b]),)
+                if mask & bit or allowed & bit and (
+                        not wide or extends_wide(mask, pid)):
+                    grown, narrowed = mask | bit, allowed & row(pid)
+                    if i + 1 < len(move):
+                        walk(grown, narrowed, placed, i + 1)
+                    else:
+                        parts[negate_dual(separate(
+                            n - 1, not left_is_a, grown, narrowed, placed,
+                            first + k))] = None
+                else:  # the first row it breaks refutes every extension
+                    vs, on_a, on_b = zip(*placed)
+                    relation, idx, in_a = _first_difference(a, on_a, b, on_b)
+                    parts[Literal(in_a == left_is_a, relation,
+                                  tuple(vs[j] for j in idx))] = None
+
+        walk(mask, allowed, pebbles, 0)
+        body = next(iter(parts)) if len(parts) == 1 else And(tuple(parts))
+        for name in reversed(names):
+            body = Exists(name, body)
+        return body
+
+    return dup_wins, separate
 
 
 def tree_prefix_game_winner(config: GameConfig, a: Structure,
@@ -248,7 +286,7 @@ def tree_prefix_game_winner(config: GameConfig, a: Structure,
     a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
     if not is_partial_isomorphism(a, a_tuple, b, b_tuple):
         return Player.Spoiler
-    dup_wins = _solver(a, b, config.tuple_size, max_positions)
+    dup_wins = _solver(a, b, config.tuple_size, max_positions)[0]
     pairs = frozenset(zip(a_tuple, b_tuple))
     won = (dup_wins(config.rounds, True, pairs)
            and dup_wins(config.rounds, False, pairs))
@@ -261,55 +299,17 @@ def find_separator(n: int, k: int, a1: Structure, a2: Structure,
     """An existential level-n block-k *sentence* true on a1 and false on a2,
     or None exactly when Duplicator wins the (n, k) prefix game on them.
 
-    Spoiler's k-tuples on the left board are tried in universe order.  A
-    move wins when every reply on the right board either breaks the partial
-    isomorphism, which contributes the first row that differs as a literal,
-    or loses the (n-1)-round game from the swapped position, which
-    contributes the dual negation of that position's separator.  The
-    sentence is the move's block of existentials, over variables ``z<i>``
-    named by pebble position, on the conjunction of the distinct parts.
-
-    Every sub-position goes to one game solver, so the sub-games share one
-    memo and one budget of ``max_positions`` game positions; past it the
-    call raises BudgetExceeded with the total count.  Raises
-    ValidationError when n < 1, k < 1 or the vocabularies differ.
+    Read off the game solver.  Spoiler's move is the first that ``answered``
+    refuses; its min(k, |U|) elements take the first of the block's k
+    existentials ``z<i>``.  A reply element the compatibility table refuses
+    gives the first row it breaks, a complete reply the dual negation of the
+    swapped position's sentence, and a move Duplicator answers gives nothing.
+    One memo and one budget of ``max_positions`` positions serve all; past
+    it the call raises BudgetExceeded.  Raises ValidationError when n < 1,
+    k < 1 or the vocabularies differ.
     """
     if n < 1 or k < 1:
         raise ValidationError("separator search needs n >= 1 and k >= 1")
     if a1.vocab != a2.vocab:
         raise ValidationError("vocabulary mismatch")
-    dup_wins = _solver(a1, a2, k, max_positions)
-
-    def separate(rounds: int, left_is_a: bool, left_tuple: tuple[str, ...],
-                 right_tuple: tuple[str, ...]) -> Formula | None:
-        left, right = (a1, a2) if left_is_a else (a2, a1)
-        names = [f"z{i + 1}" for i in range(len(left_tuple) + k)]
-        for move in itertools.product(left.universe, repeat=k):
-            grown = left_tuple + move
-            parts: list[Formula] = []
-            for reply in itertools.product(right.universe, repeat=k):
-                answer = right_tuple + reply
-                diff = _first_difference(left, grown, right, answer)
-                if diff is not None:
-                    relation, idx, held = diff
-                    part = Literal(held, relation,
-                                   tuple(names[i] for i in idx))
-                else:
-                    if rounds == 1:
-                        break
-                    pairs = zip(grown, answer) if left_is_a \
-                        else zip(answer, grown)
-                    if dup_wins(rounds - 1, not left_is_a, frozenset(pairs)):
-                        break
-                    part = negate_dual(separate(rounds - 1, not left_is_a,
-                                                answer, grown))
-                if part not in parts:
-                    parts.append(part)
-            else:
-                body = parts[0] if len(parts) == 1 else And(tuple(parts))
-                for name in reversed(names[len(left_tuple):]):
-                    body = Exists(name, body)
-                return body
-        return None
-
-    return separate(n, True, (), ())
+    return _solver(a1, a2, k, max_positions)[1](n)

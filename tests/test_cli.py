@@ -322,13 +322,23 @@ def test_eval_rejects_unknown_structure_key(tmp_path, capsys):
     ["classify", "--formula",
      "(exists (x) " * 1500 + "(E x x)" + ")" * 1500, "--vocab", '{"E": 2}'],
     ["decompose", "--formula",
-     "(and (E x x) " * 400 + "(E x x)" + ")" * 400, "--vocab", '{"E": 2}',
+     "(and (E x x) " * 800 + "(E x x)" + ")" * 800, "--vocab", '{"E": 2}',
      "--left", "x"],
-], ids=["classify-1500-exists", "decompose-400-and"])
+], ids=["classify-1500-exists", "decompose-800-and"])
 def test_deep_input_is_an_input_error(argv, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_decompose_deep_alternating_junctions(capsys):
+    # the engine takes two frames per quantifier-free and/or level
+    heads = ["(or " if i % 2 == 0 else "(and " for i in range(450)]
+    body = "".join(h + "(E x x) " for h in heads) + "(E x x)" + ")" * 450
+    assert run(["decompose", "--vocab", '{"E": 2}',
+                "--formula", f"(exists (x) {body})"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["delta1"] and captured.err == ""
 
 
 def test_cap_exit_code(files, capsys):

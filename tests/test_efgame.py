@@ -10,7 +10,8 @@ from fvkit import (BudgetExceeded, GameConfig, Player, Structure,
                    ValidationError, Vocabulary, block_uniform, classify,
                    evaluate, find_separator, free_variables, in_sigma,
                    is_partial_isomorphism, prefix_game_winner,
-                   transfer_oracle, tree_prefix_game_winner)
+                   print_formula, transfer_oracle, tree_prefix_game_winner)
+from fvkit import efgame
 from conftest import all_structures, linear_order
 
 VU = Vocabulary({"U": 1})
@@ -346,6 +347,39 @@ def test_find_separator_shares_one_budget():
         find_separator(3, 1, L5, L4, max_positions=28)
 
 
+def test_find_separator_builds_nothing_when_duplicator_wins(monkeypatch):
+    # Chains 16/15 at n = 4, k = 1, which Duplicator wins: no part of a
+    # sentence is built, and the positions are the game's own (see
+    # test_long_chains_position_count)
+    built = []
+    real = efgame.negate_dual
+    monkeypatch.setattr(efgame, "negate_dual",
+                        lambda f: built.append(f) or real(f))
+    a, b = linear_order(16), linear_order(15, prefix="b")
+    assert find_separator(4, 1, a, b, max_positions=21805) is None
+    assert built == []
+
+
+def test_find_separator_compares_no_k_tuples(monkeypatch):
+    # a move on a 1-element board has one element, however large k is, so
+    # no compared tuple is longer than n * |U| = 1
+    lengths = []
+    real = efgame._first_difference
+
+    def recording(a, a_tuple, b, b_tuple):
+        lengths.append(len(a_tuple))
+        return real(a, a_tuple, b, b_tuple)
+
+    monkeypatch.setattr(efgame, "_first_difference", recording)
+    loop = Structure(VE, ("a",), {"E": frozenset({("a", "a")})})
+    edgeless = Structure(VE, ("b",), {"E": frozenset()})
+    sep = find_separator(1, 300, loop, edgeless)
+    assert 0 < max(lengths) <= 1
+    assert block_uniform(sep, 300) and in_sigma(sep, 1)
+    assert evaluate(loop, sep, {}) is True
+    assert evaluate(edgeless, sep, {}) is False
+
+
 # The heaviest tree games of the benchmark's game ladder, with the winners
 # it stores, plus two cells that Spoiler wins.
 @pytest.mark.parametrize("n,k,p,q,winner", [
@@ -424,6 +458,20 @@ def test_bitmask_solver_matches_frozenset_solver_on_ternary_boards(relations):
     # relations can tell them apart
     assert (Player.Spoiler, True) in winners
     assert Player.Duplicator in {w for w, _ in winners}
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 1)])
+def test_find_separator_reads_rows_of_arity_3(n, k):
+    # only T tells the boards apart, and only on rows with two distinct
+    # pebbles, so the replies are refused pebble by pebble, not by the table
+    vt = Vocabulary({"T": 3})
+    a = Structure(vt, ("a0", "a1"), {"T": frozenset({("a0", "a0", "a1")})})
+    b = Structure(vt, ("b0", "b1"), {"T": frozenset({("b0", "b1", "b1")})})
+    for left, right in ((a, b), (b, a)):
+        sep = find_separator(n, k, left, right)
+        assert evaluate(left, sep, {}) and not evaluate(right, sep, {})
+        assert in_sigma(sep, n) and block_uniform(sep, k)
+        assert "(T " in print_formula(sep)
 
 
 def test_long_chains_position_count():
