@@ -28,8 +28,10 @@ sequence, with its beta, is laid out once at the top.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple, Union
 
 from .errors import ValidationError
@@ -148,11 +150,21 @@ class VarPartition:
 
 @dataclass(frozen=True)
 class ReductionSequence:
+    """Two factor lists, beta over their truth values, the variable split
+    and the components' vocabulary.
+
+    :func:`eval_reduction` keeps the factor values it computes on the
+    reduction, in ``_memo`` (see :class:`_FactorMemo`), which is not a
+    field: ``==``, ``repr`` and ``hash`` see only the fields, and pickling
+    drops it."""
+
     delta1: tuple[Formula, ...]
     delta2: tuple[Formula, ...]
     beta: PropFormula
     partition: VarPartition
     vocab: Vocabulary
+
+    _memo = None
 
     def __post_init__(self) -> None:
         for index, side in prop_vars(self.beta):
@@ -160,6 +172,9 @@ class ReductionSequence:
             if index >= len(bank):
                 raise ValidationError(
                     f"beta references factor ({index}, {side}) beyond delta{side}")
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def reduction_stats(d: ReductionSequence) -> dict:
@@ -538,6 +553,60 @@ def _place(q: _Part, delta1: list[Formula],
 # Evaluation and simplification
 
 
+class _FactorMemo:
+    """The factor values a reduction has computed, per side, structure and
+    tuple, kept for the life of the reduction.
+
+    A side's table maps ``id(structure)`` to a weak reference to the
+    structure and a dict from the tuple to its ``[known, value]`` bitmasks
+    (bit i: factor i was checked, factor i held).  The reference's callback
+    drops the structure's entry when the structure dies, and reaches the
+    memo only through a weak reference of its own, so the memo keeps no
+    structure alive and forms no cycle.  ``pair`` is SIGMA or PI when beta
+    is that mode's pair-normal-form beta over delta1's pairs, else None;
+    ``full`` has one bit per pair.
+    """
+
+    __slots__ = ("tables", "pair", "full", "__weakref__")
+
+    def __init__(self, d: ReductionSequence):
+        count = len(d.delta1)
+        self.tables: tuple[dict, dict] = ({}, {})
+        self.pair = next((mode for mode in (SIGMA, PI)
+                          if d.beta == _pair_beta(count, mode)), None)
+        self.full = (1 << count) - 1
+
+    def values(self, side: int, structure: Structure,
+               names: tuple[str, ...], elements: tuple[str, ...]) -> list[int]:
+        """The bitmasks of ``structure`` under ``names`` bound to
+        ``elements``; a new entry is made only once the assignment has
+        been checked, so a hit needs no check."""
+        table = self.tables[side - 1]
+        key = id(structure)
+        held = table.get(key)
+        # an id outlives its object only until the callback has run; the
+        # identity test keeps a reused id from reading another's values
+        if held is None or held[0]() is not structure:
+            held = None
+        else:
+            masks = held[1].get(elements)
+            if masks is not None:
+                return masks
+        _check_assignment(structure, names, dict(zip(names, elements)))
+        if held is None:
+            held = table[key] = (weakref.ref(structure, partial(
+                _forget, weakref.ref(self), side, key)), {})
+        masks = held[1][elements] = [0, 0]
+        return masks
+
+
+def _forget(memo_ref, side: int, key: int, ref) -> None:
+    # the callback of a dead structure's reference: drop its entry
+    memo = memo_ref()
+    if memo is not None:
+        memo.tables[side - 1].pop(key, None)
+
+
 def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
                    a_tuple: tuple[str, ...] = (),
                    b_tuple: tuple[str, ...] = ()) -> bool:
@@ -545,28 +614,69 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
 
     The factor truth values are computed by model checking each factor on its
     component under the partition's share of the tuples, then beta decides.
-    Every tuple element must lie in its component's universe.  Each side has
-    one budget of ``DEFAULT_ATOM_BUDGET`` atom checks for the whole call;
-    past it the call raises BudgetExceeded.  Beta runs the closure that
-    :func:`eval_prop` runs, compiled once and kept on its nodes; each factor
-    runs ``evaluate``'s closure, compiled when beta first reaches it.
-    Factors are checked on demand, in beta's child order, so beta's short
-    circuits carry over to the factor lists.  Factor values are not kept,
-    so a beta that names a factor twice checks it twice.
+    Every tuple element must lie in its component's universe.  Beta runs the
+    closure that :func:`eval_prop` runs, compiled once and kept on its
+    nodes; each factor runs ``evaluate``'s closure, compiled when beta
+    first reaches it.  Factors are checked on demand, in beta's child order,
+    so beta's short circuits carry over to the factor lists.
+
+    Factor values are kept on the reduction per (side, structure, tuple),
+    with the structure held weakly, so a factor is checked at most once per
+    component and assignment however many partners it meets, and a beta
+    that names a factor twice checks it once.  A pair-normal-form beta is
+    first decided from the kept values alone, as a bitmask test; beta walks
+    only when they leave it open.  Each side has one budget of
+    ``DEFAULT_ATOM_BUDGET`` atom checks for the atom checks *this call*
+    makes; values already kept cost nothing, and past the budget the call
+    raises BudgetExceeded, keeping the values it completed.
     """
-    if len(a_tuple) != len(d.partition.left) or len(b_tuple) != len(d.partition.right):
+    part = d.partition
+    if len(a_tuple) != len(part.left) or len(b_tuple) != len(part.right):
         raise ValidationError("tuple lengths do not match the partition")
-    asg1 = dict(zip(d.partition.left, a_tuple))
-    asg2 = dict(zip(d.partition.right, b_tuple))
-    _check_assignment(a, d.partition.left, asg1)
-    _check_assignment(b, d.partition.right, asg2)
-    sides = {1: (a, d.delta1, asg1, [DEFAULT_ATOM_BUDGET] * 2),
-             2: (b, d.delta2, asg2, [DEFAULT_ATOM_BUDGET] * 2)}
+    a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
+    memo = d._memo
+    if memo is None:
+        memo = _FactorMemo(d)
+        object.__setattr__(d, "_memo", memo)
+    masks1 = memo.values(1, a, part.left, a_tuple)
+    masks2 = memo.values(2, b, part.right, b_tuple)
+    if memo.pair is not None:
+        known1, value1 = masks1
+        known2, value2 = masks2
+        false1, false2 = known1 & ~value1, known2 & ~value2
+        if memo.pair == SIGMA:
+            if value1 & value2:
+                return True
+            if (false1 | false2) == memo.full:
+                return False
+        else:
+            if false1 & false2:
+                return False
+            if (value1 | value2) == memo.full:
+                return True
+    sides = {1: (a, d.delta1, part.left, a_tuple, masks1),
+             2: (b, d.delta2, part.right, b_tuple, masks2)}
+    # (assignment, budget) of a side, made when the side first checks a
+    # factor in this call
+    state = {}
 
     def zeta(i: int, s: int) -> bool:
-        structure, bank, asg, budget = sides[s]
+        structure, bank, names, elements, masks = sides[s]
+        bit = 1 << i
+        if masks[0] & bit:
+            return (masks[1] & bit) != 0
+        held = state.get(s)
+        if held is None:
+            held = state[s] = (dict(zip(names, elements)),
+                               [DEFAULT_ATOM_BUDGET] * 2)
         f = bank[i]
-        return (f._ev or _compile(f))(structure, asg, budget)
+        value = (f._ev or _compile(f))(structure, *held)
+        # the value bit first: an interrupt between the two updates then
+        # leaves a true factor unknown, never a true one known false
+        if value:
+            masks[1] |= bit
+        masks[0] |= bit
+        return value
 
     beta = d.beta
     return (beta._ev or _compile(beta))(zeta, None, None)

@@ -1,16 +1,18 @@
 """Decomposition engine: pinned construction cases, pair normal form,
 evaluation, simplification, and the correctness property itself."""
 
+import gc
 import hashlib
 import importlib
 import itertools
 import json
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (BOT, MARK, And, BudgetExceeded, Or, PVar,
+from fvkit import (BOT, MARK, And, BudgetExceeded, Or, PI, PVar,
                    ReductionSequence, SIGMA, Structure, TOP,
                    ValidationError, VarPartition, Vocabulary,
                    annotated_disjoint_union, builtin, classify, decompose,
@@ -20,6 +22,7 @@ from fvkit import (BOT, MARK, And, BudgetExceeded, Or, PVar,
                    quantifier_rank,
                    random_formula, reduction_from_json, reduction_stats,
                    reduction_to_json, simplify_reduction)
+from fvkit.modelcheck import DEFAULT_ATOM_BUDGET, _check_assignment, _compile
 from conftest import (all_structures, linear_order, merged_assignment,
                       pair_blocks)
 
@@ -156,6 +159,8 @@ def test_compiled_beta_stays_out_of_fields_and_pickles():
     # Closures do not pickle, so this fails if _ev gets into the state.
     back = pickle.loads(pickle.dumps(d))
     assert back == d and back.beta._ev is None
+    # nor does the factor memo's weak reference
+    assert d._memo is not None and back._memo is None
     assert [eval_reduction(back, *case) for case in cases] == values
     assert True in values and False in values
 
@@ -226,6 +231,169 @@ def test_eval_reduction_budget_per_side(monkeypatch):
     two_left = reduction({"and": [{"var": [0, 1]}, {"var": [1, 1]}]})
     with pytest.raises(BudgetExceeded, match="101 atom checks, limit 100$"):
         eval_reduction(two_left, empty, empty)
+
+
+def test_eval_reduction_budget_counts_this_calls_checks(monkeypatch):
+    # The budget bounds the atom checks a call makes; kept values cost
+    # nothing.  Each factor makes 64 atom checks, as above.
+    module = importlib.import_module("fvkit.decompose")
+    monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 100)
+    empty = Structure(VE, tuple(str(i) for i in range(8)), {"E": frozenset()})
+    factor = "(forall (u v) (not (E u v)))"
+
+    def reduction(beta):
+        return reduction_from_json({
+            "delta1": [factor, factor], "delta2": [factor], "beta": beta,
+            "partition": {"left": [], "right": []}, "vocabulary": {"E": 2}})
+
+    one_each = reduction({"and": [{"var": [0, 1]}, {"var": [0, 2]}]})
+    assert eval_reduction(one_each, empty, empty) is True
+    monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 0)
+    assert eval_reduction(one_each, empty, empty) is True
+
+    monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 100)
+    two_left = reduction({"and": [{"var": [0, 1]}, {"var": [1, 1]}]})
+    with pytest.raises(BudgetExceeded, match="101 atom checks, limit 100$"):
+        eval_reduction(two_left, empty, empty)
+    # factor 0 was kept; factor 1, which raised, was not
+    monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 63)
+    with pytest.raises(BudgetExceeded, match="64 atom checks, limit 63$"):
+        eval_reduction(two_left, empty, empty)
+    monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 64)
+    assert eval_reduction(two_left, empty, empty) is True
+    monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 0)
+    assert eval_reduction(two_left, empty, empty) is True
+
+
+def test_pair_form_beta_is_decided_from_kept_values(monkeypatch):
+    # In each case the last call's walk would first reach a factor that no
+    # call has checked on its structure, which with no budget raises; the
+    # kept values alone decide the pair-form beta instead.
+    module = importlib.import_module("fvkit.decompose")
+    none, some = "(forall (u v) (not (E u v)))", "(exists (u v) (E u v))"
+
+    def board(edges=()):
+        return Structure(VE, tuple(str(i) for i in range(8)),
+                         {"E": frozenset(edges)})
+    x0, x1 = {"var": [0, 1]}, {"var": [1, 1]}
+    y0, y1 = {"var": [0, 2]}, {"var": [1, 2]}
+    sigma = {"or": [{"and": [x0, y0]}, {"and": [x1, y1]}]}
+    pi = {"and": [{"or": [x0, y0]}, {"or": [x1, y1]}]}
+    a, a1, b, b1 = board([("0", "1")]), board(), board(), board()
+    cases = [
+        # sigma, false: both right factors are known false on b
+        (sigma, [none, none], [some, some], [(a1, b)], (board(), b), False),
+        # sigma, true: pair 1 is known true on a1 and on b
+        (sigma, [none, "true"], [some, none], [(a1, b1), (a, b)], (a1, b),
+         True),
+        # pi, true: both right factors are known true on b
+        (pi, [some, some], [none, none], [(a1, b)], (board(), b), True),
+        # pi, false: pair 1 is known false on a and on b
+        (pi, [none, "false"], [none, "false"], [(a, b1), (a1, b)], (a, b),
+         False),
+    ]
+    for beta, delta1, delta2, warm, (left, right), want in cases:
+        d = reduction_from_json({
+            "delta1": delta1, "delta2": delta2, "beta": beta,
+            "partition": {"left": [], "right": []}, "vocabulary": {"E": 2}})
+        monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 10_000)
+        for pair in warm:
+            eval_reduction(d, *pair)
+        assert _ref_eval_reduction(d, left, right) is want
+        monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 0)
+        assert eval_reduction(d, left, right) is want
+        with pytest.raises(BudgetExceeded):
+            eval_reduction(d, board(), board())
+
+
+def _ref_eval_reduction(d, a, b, a_tuple=(), b_tuple=()):
+    """``eval_reduction`` as it was before factor values were kept on the
+    reduction, kept verbatim as the reference: every call checks both
+    assignments and runs every factor beta reaches."""
+    if len(a_tuple) != len(d.partition.left) or len(b_tuple) != len(d.partition.right):
+        raise ValidationError("tuple lengths do not match the partition")
+    asg1 = dict(zip(d.partition.left, a_tuple))
+    asg2 = dict(zip(d.partition.right, b_tuple))
+    _check_assignment(a, d.partition.left, asg1)
+    _check_assignment(b, d.partition.right, asg2)
+    sides = {1: (a, d.delta1, asg1, [DEFAULT_ATOM_BUDGET] * 2),
+             2: (b, d.delta2, asg2, [DEFAULT_ATOM_BUDGET] * 2)}
+
+    def zeta(i: int, s: int) -> bool:
+        structure, bank, asg, budget = sides[s]
+        f = bank[i]
+        return (f._ev or _compile(f))(structure, asg, budget)
+
+    beta = d.beta
+    return (beta._ev or _compile(beta))(zeta, None, None)
+
+
+def test_eval_reduction_matches_reference_walk():
+    # Kept factor values and the pair-form bitmask tests against the walk
+    # that recomputes every factor: the four operations' grids, each
+    # structure also as an equal but distinct copy, every cell twice in a
+    # seeded random order, and tuples sometimes passed as lists.
+    import random
+    from test_acceptance import formula_suite, sum_like_ops
+    rng = random.Random(21)
+    # the reductions of test_eval_reduction_on_loaded_betas, which walk
+    x0, x1 = {"var": [0, 1]}, {"var": [1, 1]}
+    y0, y1 = {"var": [0, 2]}, {"var": [1, 2]}
+    yes, no = {"const": True}, {"const": False}
+    betas = [
+        {"or": [{"and": [x0, y0]}, {"and": [x0, y1]}, no]},
+        {"and": [{"or": [x0, no]}, {"or": [x1, x0, y0]}, yes, x1]},
+        {"and": [{"or": [y0, y1]}, {"or": [y1, y0]}, {"or": [x1, y0, x1]}]},
+        {"or": [no, {"and": [yes, x1, x1]}]},
+    ]
+    loaded = [reduction_from_json({
+        "delta1": ["(exists (x) (forall (z) (E x z)))", "(E x x)"],
+        "delta2": ["(E y y)", "(forall (z) (or (E z y) (= z y)))"],
+        "beta": beta, "partition": {"left": ["x"], "right": ["y"]},
+        "vocabulary": {"E": 2}}) for beta in betas]
+    jobs = [(loaded, all_structures(VE, 2))]
+    for name, op, grid in sum_like_ops():
+        count = 8 if name == "disjoint-union" else 24
+        jobs.append(([decompose_over_op(f, op, part) for _, _, f, part
+                      in formula_suite(op.interp.target_vocab, count)], grid))
+    modes = set()
+    for ds, grid in jobs:
+        grid = grid + [Structure(s.vocab, s.universe, s.relations)
+                       for s in grid]
+        cells = [(d, a, b, la, rb) for d in ds
+                 for a, b in itertools.product(grid, repeat=2)
+                 for la in itertools.product(a.universe,
+                                             repeat=len(d.partition.left))
+                 for rb in itertools.product(b.universe,
+                                             repeat=len(d.partition.right))]
+        cells *= 2
+        rng.shuffle(cells)
+        for d, a, b, la, rb in cells:
+            want = _ref_eval_reduction(d, a, b, la, rb)
+            if rng.random() < 0.2:
+                la, rb = list(la), list(rb)
+            assert eval_reduction(d, a, b, la, rb) is want
+        modes |= {d._memo.pair for d in ds}
+    assert modes == {SIGMA, PI, None}
+
+
+def test_factor_memo_stays_out_of_value_and_keeps_no_structure():
+    f = parse_formula("(exists (z) (and (E z v1) (E v1 z)))", VE)
+    part = VarPartition(("v1",), ())
+    d = decompose(f, part)
+    a = Structure(VE, ("p", "q"), {"E": frozenset({("p", "q"), ("q", "p")})})
+    r = weakref.ref(a)
+    assert eval_reduction(d, a, LOOP, ("p",), ()) is True
+    assert eval_reduction(d, a, LOOP, ["q"], []) is True
+    fresh = decompose(f, part)
+    assert d._memo is not None and fresh._memo is None
+    assert d == fresh and repr(d) == repr(fresh) and hash(d) == hash(fresh)
+    assert id(a) in d._memo.tables[0]
+    del a
+    gc.collect()
+    assert r() is None
+    assert d._memo.tables[0] == {}
+    assert list(d._memo.tables[1]) == [id(LOOP)]
 
 
 def test_normalize_pairs_four_pair_example():
