@@ -8,7 +8,8 @@ formula classes over finite test beds.
 from .errors import (BudgetExceeded, CapExceeded, FvError, ParseError,
                      ValidationError)
 from .formula import (And, Classification, Exists, Forall, Formula,
-                      Literal, Or, PI, SIGMA, TOP, BOT, Vocabulary,
+                      Literal, Or, PI, PVar, PropFormula, SIGMA, TOP, BOT,
+                      Vocabulary,
                       alpha_normalize, block_uniform, classify, formula_size,
                       free_variables, in_pi, in_sigma, is_quantifier_free,
                       negate_dual,
@@ -24,11 +25,10 @@ from .interp import (Interpretation, SumLikeOp, apply_interpretation,
                      apply_sum_like, builtin, interpretation_from_json,
                      interpretation_to_json, load_interpretation,
                      transform_formula)
-from .decompose import (PVar, PropFormula, ReductionSequence, VarPartition,
+from .decompose import (ReductionSequence, VarPartition,
                         decompose, decompose_over_op, eval_prop,
                         eval_reduction, normalize_pairs, prop_from_json,
-                        prop_size, prop_to_json, prop_vars,
-                        reduction_from_json, reduction_stats,
+                        prop_to_json, reduction_from_json, reduction_stats,
                         reduction_to_json, simplify_reduction)
 from .efgame import (GameConfig, Player, find_separator, prefix_game_winner,
                      tree_prefix_game_winner)
@@ -56,8 +56,8 @@ __all__ = [
     "in_pi", "in_sigma", "interpretation_from_json", "interpretation_to_json",
     "is_partial_isomorphism", "is_quantifier_free", "load_interpretation",
     "load_structure", "negate_dual", "normalize_pairs", "parse_formula",
-    "prefix_game_winner", "print_formula", "prop_from_json", "prop_size",
-    "prop_to_json", "prop_vars", "quantifier_rank", "random_formula",
+    "prefix_game_winner", "print_formula", "prop_from_json",
+    "prop_to_json", "quantifier_rank", "random_formula",
     "reduction_from_json", "reduction_stats", "reduction_to_json", "run",
     "save_structure", "simplify_reduction", "structure_from_json",
     "structure_to_json", "substitute", "tower", "transfer_oracle",

@@ -31,14 +31,14 @@ from __future__ import annotations
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import NamedTuple, Union
 
 from .errors import ValidationError
-from .formula import (And, Exists, Forall, Formula, Literal, Or, PI, SIGMA,
-                      TOP, BOT, Vocabulary, alpha_normalize, formula_size,
-                      _parse, free_variables, is_quantifier_free,
-                      print_formula, relations_used, vocabulary_from_json)
+from .formula import (And, Exists, Forall, Formula, Literal, Or, PI, PVar,
+                      PropFormula, SIGMA, TOP, BOT, Vocabulary,
+                      alpha_normalize, formula_size, _parse, free_variables,
+                      is_quantifier_free, print_formula, relations_used,
+                      vocabulary_from_json)
 from .interp import SumLikeOp, transform_formula
 from .modelcheck import DEFAULT_ATOM_BUDGET, _check_assignment, _compile
 from .structure import MARK, Structure
@@ -51,44 +51,8 @@ SIZE_BOUND_FACTOR = 4
 
 
 # ---------------------------------------------------------------------------
-# Propositional formulas over factor variables: the formula AST's And and Or
-# (with TOP and BOT as the constants) over PVar leaves
-
-
-@dataclass(frozen=True)
-class PVar:
-    """Truth of factor ``index`` of delta-``side`` (side 1 = left)."""
-
-    index: int
-    side: int
-
-    def __post_init__(self) -> None:
-        if self.side not in (1, 2) or self.index < 0:
-            raise ValidationError(f"bad factor variable ({self.index}, {self.side})")
-
-    def _ev(self, zeta, asg, budget):
-        # The leaf's compiled form, so that ``modelcheck._compile`` compiles
-        # a beta like a formula: a beta's closure takes zeta in place of the
-        # structure, and no assignment or budget.
-        return zeta(self.index, self.side)
-
-
-PropFormula = Union[PVar, And, Or]
-
-
-def prop_size(p: PropFormula) -> int:
-    if isinstance(p, PVar):
-        return 1
-    return 1 + sum(prop_size(c) for c in p.children)
-
-
-def prop_vars(p: PropFormula) -> set[tuple[int, int]]:
-    if isinstance(p, PVar):
-        return {(p.index, p.side)}
-    out: set[tuple[int, int]] = set()
-    for c in p.children:
-        out |= prop_vars(c)
-    return out
+# Beta: the formula AST's And and Or (TOP and BOT the constants) over PVar
+# leaves, so formula_size and free_variables serve it
 
 
 def eval_prop(p: PropFormula, zeta) -> bool:
@@ -167,7 +131,7 @@ class ReductionSequence:
     _memo = None
 
     def __post_init__(self) -> None:
-        for index, side in prop_vars(self.beta):
+        for index, side in free_variables(self.beta):
             bank = self.delta1 if side == 1 else self.delta2
             if index >= len(bank):
                 raise ValidationError(
@@ -178,7 +142,7 @@ class ReductionSequence:
 
 
 def reduction_stats(d: ReductionSequence) -> dict:
-    beta_size = prop_size(d.beta)
+    beta_size = formula_size(d.beta)
     total = (sum(formula_size(f) for f in d.delta1)
              + sum(formula_size(f) for f in d.delta2)
              + beta_size)
@@ -400,6 +364,13 @@ def _pair_beta(count: int, mode: str, base: int = 0) -> PropFormula:
     return Or(blocks) if mode == SIGMA else And(blocks)
 
 
+def _pair_mode(d: ReductionSequence) -> str | None:
+    """SIGMA or PI when beta is that mode's pair-form beta, else None."""
+    count = len(d.delta1)
+    return next((mode for mode in (SIGMA, PI) if len(d.delta2) == count
+                 and d.beta == _pair_beta(count, mode)), None)
+
+
 def _normalize(p: PropFormula, delta1: tuple[Formula, ...],
                delta2: tuple[Formula, ...], mode: str) -> _Pairs:
     blocks = _distribute(p, delta1, delta2, mode)
@@ -554,57 +525,41 @@ def _place(q: _Part, delta1: list[Formula],
 
 
 class _FactorMemo:
-    """The factor values a reduction has computed, per side, structure and
-    tuple, kept for the life of the reduction.
+    """The factor values a reduction has computed, per side, structure value
+    and tuple, kept for the life of the reduction.
 
-    A side's table maps ``id(structure)`` to a weak reference to the
-    structure and a dict from the tuple to its ``[known, value]`` bitmasks
-    (bit i: factor i was checked, factor i held).  The reference's callback
-    drops the structure's entry when the structure dies, and reaches the
-    memo only through a weak reference of its own, so the memo keeps no
-    structure alive and forms no cycle.  ``pair`` is SIGMA or PI when beta
-    is that mode's pair-normal-form beta over delta1's pairs, else None;
-    ``full`` has one bit per pair.
+    A side's table is keyed weakly on the structure, so the memo keeps no
+    structure alive, and equal copies of a structure share its entry: a
+    dict from the tuple to its ``[known, value]`` bitmasks (bit i: factor i
+    was checked, factor i held).  ``pair`` is SIGMA or PI when beta is that
+    mode's pair-normal-form beta, else None; ``full`` has one bit per pair.
     """
 
-    __slots__ = ("tables", "pair", "full", "__weakref__")
+    __slots__ = ("tables", "pair", "full", "relations")
 
     def __init__(self, d: ReductionSequence):
-        count = len(d.delta1)
-        self.tables: tuple[dict, dict] = ({}, {})
-        self.pair = next((mode for mode in (SIGMA, PI)
-                          if d.beta == _pair_beta(count, mode)), None)
-        self.full = (1 << count) - 1
+        self.tables = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
+        self.pair = _pair_mode(d)
+        self.full = (1 << len(d.delta1)) - 1
+        self.relations = d.vocab.relations.items()
 
-    def values(self, side: int, structure: Structure,
-               names: tuple[str, ...], elements: tuple[str, ...]) -> list[int]:
-        """The bitmasks of ``structure`` under ``names`` bound to
-        ``elements``; a new entry is made only once the assignment has
-        been checked, so a hit needs no check."""
+    def new(self, side: int, structure: Structure,
+            names: tuple[str, ...], elements: tuple[str, ...]) -> list[int]:
+        """A new entry's bitmasks, made once the structure's vocabulary (on
+        its first entry) and the assignment are checked: a kept one needs no
+        check."""
         table = self.tables[side - 1]
-        key = id(structure)
-        held = table.get(key)
-        # an id outlives its object only until the callback has run; the
-        # identity test keeps a reused id from reading another's values
-        if held is None or held[0]() is not structure:
-            held = None
-        else:
-            masks = held[1].get(elements)
-            if masks is not None:
-                return masks
+        held = table.get(structure)
+        if held is None:
+            missing = self.relations - structure.vocab.relations.items()
+            if missing:
+                raise ValidationError(
+                    f"structure lacks relations {dict(sorted(missing))}")
         _check_assignment(structure, names, dict(zip(names, elements)))
         if held is None:
-            held = table[key] = (weakref.ref(structure, partial(
-                _forget, weakref.ref(self), side, key)), {})
-        masks = held[1][elements] = [0, 0]
+            held = table[structure] = {}
+        masks = held[elements] = [0, 0]
         return masks
-
-
-def _forget(memo_ref, side: int, key: int, ref) -> None:
-    # the callback of a dead structure's reference: drop its entry
-    memo = memo_ref()
-    if memo is not None:
-        memo.tables[side - 1].pop(key, None)
 
 
 def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
@@ -614,21 +569,23 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
 
     The factor truth values are computed by model checking each factor on its
     component under the partition's share of the tuples, then beta decides.
-    Every tuple element must lie in its component's universe.  Beta runs the
+    Every tuple element must lie in its component's universe, and each
+    structure's vocabulary must hold the reduction's.  Beta runs the
     closure that :func:`eval_prop` runs, compiled once and kept on its
     nodes; each factor runs ``evaluate``'s closure, compiled when beta
     first reaches it.  Factors are checked on demand, in beta's child order,
     so beta's short circuits carry over to the factor lists.
 
-    Factor values are kept on the reduction per (side, structure, tuple),
-    with the structure held weakly, so a factor is checked at most once per
-    component and assignment however many partners it meets, and a beta
-    that names a factor twice checks it once.  A pair-normal-form beta is
-    first decided from the kept values alone, as a bitmask test; beta walks
-    only when they leave it open.  Each side has one budget of
-    ``DEFAULT_ATOM_BUDGET`` atom checks for the atom checks *this call*
-    makes; values already kept cost nothing, and past the budget the call
-    raises BudgetExceeded, keeping the values it completed.
+    Factor values are kept on the reduction per (side, structure value,
+    tuple), with the structure held weakly, so a factor is checked at most
+    once per component and assignment however many partners it meets, equal
+    copies of a component share its values, and a beta that names a factor
+    twice checks it once.  A pair-normal-form beta is first decided from the
+    kept values alone, as a bitmask test; beta walks only when they leave it
+    open.  Each side has one budget of ``DEFAULT_ATOM_BUDGET`` atom checks
+    for the atom checks *this call* makes; values already kept cost nothing,
+    and past the budget the call raises BudgetExceeded, keeping the values
+    it completed.
     """
     part = d.partition
     if len(a_tuple) != len(part.left) or len(b_tuple) != len(part.right):
@@ -638,8 +595,10 @@ def eval_reduction(d: ReductionSequence, a: Structure, b: Structure,
     if memo is None:
         memo = _FactorMemo(d)
         object.__setattr__(d, "_memo", memo)
-    masks1 = memo.values(1, a, part.left, a_tuple)
-    masks2 = memo.values(2, b, part.right, b_tuple)
+    masks1 = (memo.tables[0].get(a) or {}).get(a_tuple) or \
+        memo.new(1, a, part.left, a_tuple)
+    masks2 = (memo.tables[1].get(b) or {}).get(b_tuple) or \
+        memo.new(2, b, part.right, b_tuple)
     if memo.pair is not None:
         known1, value1 = masks1
         known2, value2 = masks2
@@ -692,14 +651,13 @@ def simplify_reduction(d: ReductionSequence) -> ReductionSequence:
     beta, and factors no longer referenced drop.  Pair normal form and
     factor classification bounds are preserved.
     """
-    for mode in (SIGMA, PI):
-        if len(d.delta2) == len(d.delta1) and \
-                d.beta == _pair_beta(len(d.delta1), mode):
-            return normalize_pairs(d, mode)
+    mode = _pair_mode(d)
+    if mode is not None:
+        return normalize_pairs(d, mode)
     beta = _fold(d.beta)
-    used = prop_vars(beta)
-    keep1 = [i for i in range(len(d.delta1)) if (i, 1) in used]
-    keep2 = [i for i in range(len(d.delta2)) if (i, 2) in used]
+    used = free_variables(beta)
+    keep1 = sorted(i for i, side in used if side == 1)
+    keep2 = sorted(i for i, side in used if side == 2)
     remap1 = {old: new for new, old in enumerate(keep1)}
     remap2 = {old: new for new, old in enumerate(keep2)}
     beta = _renumber(beta, remap1, remap2)

@@ -6,8 +6,9 @@ false, and single-variable quantifiers.  Multi-variable quantifier blocks in the
 desugared to nested single-variable nodes at parse time.
 
 The junctions also serve as beta, the propositional formula of a reduction
-sequence, over ``decompose.PVar`` factor variables in place of literals.
-``modelcheck`` compiles and evaluates a beta like any formula, but
+sequence, over :class:`PVar` factor variables in place of literals.  A beta
+keeps its hash, size and free variables (the ``(index, side)`` pairs) on its
+nodes, and ``modelcheck`` compiles and evaluates it like any formula, but
 :func:`print_formula`, :func:`classify` and ``evaluate`` are not defined on
 one; its text form is ``decompose.prop_to_json``.
 
@@ -151,7 +152,21 @@ class Forall:
     body: "Formula"
 
 
+@_node
+class PVar:
+    """Beta's leaf: the truth of factor ``index`` of delta-``side``, where
+    side 1 is the left component."""
+
+    index: int
+    side: int
+
+    def __post_init__(self) -> None:
+        if self.side not in (1, 2) or self.index < 0:
+            raise ValidationError(f"bad factor variable ({self.index}, {self.side})")
+
+
 Formula = Union[Literal, And, Or, Exists, Forall]
+PropFormula = Union[PVar, And, Or]
 
 # true and false are the empty conjunction and the empty disjunction
 TOP = And(())
@@ -163,7 +178,8 @@ BOT = Or(())
 
 
 def free_variables(f: Formula) -> tuple[str, ...]:
-    """Free variables in first-occurrence (left-to-right) order.
+    """Free variables in first-occurrence (left-to-right) order; those of a
+    beta are its factor variables as ``(index, side)`` pairs.
 
     Computed once per node from the children's tuples and kept on the node.
     """
@@ -171,6 +187,8 @@ def free_variables(f: Formula) -> tuple[str, ...]:
     if fv is None:
         if isinstance(f, Literal):
             fv = tuple(dict.fromkeys(f.args))
+        elif isinstance(f, PVar):
+            fv = ((f.index, f.side),)
         elif isinstance(f, (And, Or)):
             seen: dict[str, None] = {}
             for c in f.children:
@@ -484,8 +502,10 @@ def _shape(f: Formula) -> tuple[int, int, int, int, int, int]:
             else:
                 level = pi or 1
                 shape = (size + 1, rank + 1, level + 1, level, root, below)
-        else:
+        elif isinstance(f, Literal):
             shape = (1 + len(f.args), 0, 0, 0, 0, 0)
+        else:
+            shape = (1, 0, 0, 0, 0, 0)    # a factor variable
         object.__setattr__(f, "_shape", shape)
     return shape
 
@@ -499,7 +519,8 @@ def _merged(blocks: int, k: int) -> int:
 
 def formula_size(f: Formula) -> int:
     """Node count: a literal is one node per argument plus the relation
-    (polarity is part of the literal), a quantifier adds one node."""
+    (polarity is part of the literal), a quantifier adds one node, and a
+    factor variable is one node."""
     return _shape(f)[0]
 
 

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .errors import BudgetExceeded, ValidationError
-from .formula import (And, Exists, Forall, Formula, Literal, Or,
+from .formula import (And, Exists, Forall, Formula, Literal, Or, PVar,
                       free_variables)
 from .structure import Structure
 
@@ -63,8 +63,8 @@ def evaluate(structure: Structure, f: Formula, asg: dict[str, str],
 def _compile(f: Formula) -> Compiled:
     """The closure of ``f``, compiling every node below it that has none
     yet, children before parents, with an explicit stack so that depth
-    costs no Python frames here.  A beta compiles the same way: its
-    ``decompose.PVar`` leaves bring their ``_ev`` along."""
+    costs no Python frames here.  A beta compiles the same way; its closure
+    takes zeta, ``(index, side) -> bool``, in place of the structure."""
     stack = [f]
     while stack:
         g = stack[-1]
@@ -98,6 +98,9 @@ def _make(g: Formula) -> Compiled:
         return _exists(g.var, g.body._ev)
     if isinstance(g, Forall):
         return _forall(g.var, g.body._ev)
+    if isinstance(g, PVar):
+        index, side = g.index, g.side
+        return lambda zeta, asg, budget: zeta(index, side)
     raise TypeError(f"not a formula: {g!r}")
 
 

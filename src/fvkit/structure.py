@@ -25,12 +25,15 @@ class Structure:
     elements is kept as ``elements``, which is not a field, so ``==``,
     ``repr`` and JSON see only the fields.  A structure is an immutable
     value with read-only tables; its hash agrees with ``==``, so it can key
-    a dict.
+    a dict.  The hash is computed once and kept, but not pickled: string
+    hashes differ between processes.
     """
 
     vocab: Vocabulary
     universe: tuple[str, ...]
     relations: dict[str, frozenset[tuple[str, ...]]] = field(default_factory=dict)
+
+    _hash = None
 
     def __post_init__(self) -> None:
         if not self.universe:
@@ -55,9 +58,23 @@ class Structure:
             raise ValidationError(f"relations not in vocabulary: {sorted(extra)}")
         object.__setattr__(self, "relations", tables)
 
+    def __eq__(self, other) -> bool:
+        # identity first: a weak table compares a key with itself
+        if type(other) is not Structure:
+            return NotImplemented
+        return self is other or (self.vocab, self.universe, self.relations) \
+            == (other.vocab, other.universe, other.relations)
+
     def __hash__(self) -> int:
-        return hash((self.vocab, self.universe,
-                     frozenset(self.relations.items())))
+        h = self._hash
+        if h is None:
+            h = hash((self.vocab, self.universe,
+                      frozenset(self.relations.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def has(self, relation: str, row: tuple[str, ...]) -> bool:
         return row in self.relations[relation]

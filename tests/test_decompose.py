@@ -6,8 +6,12 @@ import hashlib
 import importlib
 import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +21,12 @@ from fvkit import (BOT, MARK, And, BudgetExceeded, Or, PI, PVar,
                    ValidationError, VarPartition, Vocabulary,
                    annotated_disjoint_union, builtin, classify, decompose,
                    decompose_over_op, evaluate, eval_prop, eval_reduction,
-                   free_variables, normalize_pairs, parse_formula,
-                   print_formula, prop_from_json, prop_to_json,
+                   formula_size, free_variables, normalize_pairs,
+                   parse_formula, print_formula, prop_from_json, prop_to_json,
                    quantifier_rank,
                    random_formula, reduction_from_json, reduction_stats,
                    reduction_to_json, simplify_reduction)
+from fvkit.formula import subformulas
 from fvkit.modelcheck import DEFAULT_ATOM_BUDGET, _check_assignment, _compile
 from conftest import (all_structures, linear_order, merged_assignment,
                       pair_blocks)
@@ -115,6 +120,37 @@ def test_eval_reduction_validates_tuples():
             eval_reduction(right, LOOP, LOOP, (), ("nope",))
 
 
+def test_eval_reduction_checks_structure_vocabulary():
+    # The vocabulary is checked when a structure first meets the reduction,
+    # whether or not beta would reach a factor that names the relation, and
+    # whatever the other side already keeps.
+    unary = Structure(Vocabulary({"U": 1}), ("a",), {"U": frozenset()})
+    two_pairs = decompose(EXISTS_LOOP, VarPartition((), ()))
+    assert [print_formula(g) for g in two_pairs.delta1] == \
+        ["(exists (z) (E z z))", "true"]
+    second_pair = reduction_from_json({
+        "delta1": ["true", "(exists (u) (E u u))"],
+        "delta2": ["true", "(exists (u) (E u u))"],
+        "beta": {"or": [{"and": [{"var": [0, 1]}, {"var": [0, 2]}]},
+                        {"and": [{"var": [1, 1]}, {"var": [1, 2]}]}]},
+        "partition": {"left": [], "right": []}, "vocabulary": {"E": 2}})
+    wrong_arity = Structure(Vocabulary({"E": 1}), ("a",), {"E": frozenset()})
+    wider = Structure(Vocabulary({"E": 2, "U": 1}), ("a",),
+                      {"E": frozenset({("a", "a")})})
+    for d in (two_pairs, second_pair):
+        for warm in (False, True):
+            if warm:
+                assert eval_reduction(d, LOOP, LOOP) is True
+            for bad in (unary, wrong_arity):
+                with pytest.raises(ValidationError,
+                                   match=r"^structure lacks relations "
+                                   r"\{'E': 2\}$"):
+                    eval_reduction(d, bad, LOOP)
+                with pytest.raises(ValidationError, match="lacks relations"):
+                    eval_reduction(d, LOOP, bad)
+        assert eval_reduction(d, wider, wider) is True
+
+
 def test_eval_reduction_on_loaded_betas():
     # decompose never repeats a factor in beta nor leaves constants in it;
     # a loaded reduction may do both and must still be evaluated exactly.
@@ -163,6 +199,43 @@ def test_compiled_beta_stays_out_of_fields_and_pickles():
     assert d._memo is not None and back._memo is None
     assert [eval_reduction(back, *case) for case in cases] == values
     assert True in values and False in values
+
+
+def test_cached_hashes_stay_out_of_pickles_across_processes():
+    # Another process with another hash seed pickles a structure and a used
+    # reduction, whose hashes (the structure's, the nodes') it has kept.  A
+    # hash kept in the pickled state would disagree with this process's.
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    script = """if True:
+        import pickle, sys
+        from fvkit import (Structure, VarPartition, Vocabulary, decompose,
+                           eval_reduction, parse_formula)
+        VE = Vocabulary({"E": 2})
+        s = Structure(VE, ("p", "q"), {"E": frozenset({("p", "q")})})
+        f = parse_formula("(and (E x x) (exists (z) (E z y)))", VE)
+        d = decompose(f, VarPartition(("x",), ("y",)))
+        eval_reduction(d, s, s, ("p",), ("q",))
+        sys.stdout.buffer.write(pickle.dumps((s, d, hash(s), hash(d))))
+    """
+    src = str(Path(importlib.import_module("fvkit").__file__).parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, check=True).stdout
+    s, d, their_s, their_d = pickle.loads(out)
+    # nothing kept came along, not even the seed-free hashes of beta's nodes
+    assert s._hash is None
+    assert all(g._hash is None for g in subformulas(d.beta))
+    fresh_s = Structure(VE, ("p", "q"), {"E": frozenset({("p", "q")})})
+    fresh_d = decompose(
+        parse_formula("(and (E x x) (exists (z) (E z y)))", VE),
+        VarPartition(("x",), ("y",)))
+    assert (hash(fresh_s), hash(fresh_d)) != (their_s, their_d)
+    assert s == fresh_s and hash(s) == hash(fresh_s)
+    assert d == fresh_d and hash(d) == hash(fresh_d)
+    assert hash(d.beta) == hash(fresh_d.beta)
+    table = {fresh_s: "s", fresh_d: "d"}
+    assert table[s] == "s" and table[d] == "d" and len(table | {s: 0}) == 2
+    assert eval_reduction(d, s, s, ("p",), ("q",)) is False
 
 
 def test_reduction_from_json_rejects_factor_outside_its_side():
@@ -268,26 +341,29 @@ def test_eval_reduction_budget_counts_this_calls_checks(monkeypatch):
 def test_pair_form_beta_is_decided_from_kept_values(monkeypatch):
     # In each case the last call's walk would first reach a factor that no
     # call has checked on its structure, which with no budget raises; the
-    # kept values alone decide the pair-form beta instead.
+    # kept values alone decide the pair-form beta instead.  Values are kept
+    # per structure value, so every board differs in value from the others
+    # on its side, and the never-seen boards (6 elements) from all of them.
     module = importlib.import_module("fvkit.decompose")
     none, some = "(forall (u v) (not (E u v)))", "(exists (u v) (E u v))"
 
-    def board(edges=()):
-        return Structure(VE, tuple(str(i) for i in range(8)),
+    def board(edges=(), size=8):
+        return Structure(VE, tuple(str(i) for i in range(size)),
                          {"E": frozenset(edges)})
     x0, x1 = {"var": [0, 1]}, {"var": [1, 1]}
     y0, y1 = {"var": [0, 2]}, {"var": [1, 2]}
     sigma = {"or": [{"and": [x0, y0]}, {"and": [x1, y1]}]}
     pi = {"and": [{"or": [x0, y0]}, {"or": [x1, y1]}]}
-    a, a1, b, b1 = board([("0", "1")]), board(), board(), board()
+    a, a1, b, b1 = board([("0", "1")]), board(), board(), board(size=7)
     cases = [
         # sigma, false: both right factors are known false on b
-        (sigma, [none, none], [some, some], [(a1, b)], (board(), b), False),
+        (sigma, [none, none], [some, some], [(a1, b)], (board(size=6), b),
+         False),
         # sigma, true: pair 1 is known true on a1 and on b
         (sigma, [none, "true"], [some, none], [(a1, b1), (a, b)], (a1, b),
          True),
         # pi, true: both right factors are known true on b
-        (pi, [some, some], [none, none], [(a1, b)], (board(), b), True),
+        (pi, [some, some], [none, none], [(a1, b)], (board(size=6), b), True),
         # pi, false: pair 1 is known false on a and on b
         (pi, [none, "false"], [none, "false"], [(a, b1), (a1, b)], (a, b),
          False),
@@ -302,8 +378,11 @@ def test_pair_form_beta_is_decided_from_kept_values(monkeypatch):
         assert _ref_eval_reduction(d, left, right) is want
         monkeypatch.setattr(module, "DEFAULT_ATOM_BUDGET", 0)
         assert eval_reduction(d, left, right) is want
+        # equal but distinct copies share the kept values
+        assert eval_reduction(d, *(Structure(s.vocab, s.universe, s.relations)
+                                   for s in (left, right))) is want
         with pytest.raises(BudgetExceeded):
-            eval_reduction(d, board(), board())
+            eval_reduction(d, board(size=6), board(size=6))
 
 
 def _ref_eval_reduction(d, a, b, a_tuple=(), b_tuple=()):
@@ -388,12 +467,12 @@ def test_factor_memo_stays_out_of_value_and_keeps_no_structure():
     fresh = decompose(f, part)
     assert d._memo is not None and fresh._memo is None
     assert d == fresh and repr(d) == repr(fresh) and hash(d) == hash(fresh)
-    assert id(a) in d._memo.tables[0]
+    assert a in d._memo.tables[0]
     del a
     gc.collect()
     assert r() is None
-    assert d._memo.tables[0] == {}
-    assert list(d._memo.tables[1]) == [id(LOOP)]
+    assert len(d._memo.tables[0]) == 0
+    assert list(d._memo.tables[1]) == [LOOP]
 
 
 def test_normalize_pairs_four_pair_example():
@@ -808,6 +887,60 @@ def reference_compile_prop(p):
                     return True
             return False
     return ev
+
+
+def _ref_prop_size(p):
+    """``prop_size`` as it was before beta's leaf became a formula node."""
+    if isinstance(p, PVar):
+        return 1
+    return 1 + sum(_ref_prop_size(c) for c in p.children)
+
+
+def _ref_prop_vars(p):
+    """``prop_vars`` as it was before beta's leaf became a formula node."""
+    if isinstance(p, PVar):
+        return {(p.index, p.side)}
+    out = set()
+    for c in p.children:
+        out |= _ref_prop_vars(c)
+    return out
+
+
+def test_beta_size_and_variables_match_the_old_walks():
+    # formula_size and free_variables serve beta in place of the deleted
+    # prop_size and prop_vars: every beta of the criteria 1-3 suites, the
+    # loaded betas, and 600 alternating levels built here.
+    from test_acceptance import formula_suite, sum_like_ops
+    betas = [decompose(f, part).beta for _, _, f, part in formula_suite(VE)]
+    for _, op, _ in sum_like_ops():
+        betas += [decompose_over_op(f, op, part).beta for _, _, f, part
+                  in formula_suite(op.interp.target_vocab)]
+    x0, x1 = {"var": [0, 1]}, {"var": [1, 1]}
+    y0, y1 = {"var": [0, 2]}, {"var": [1, 2]}
+    yes, no = {"const": True}, {"const": False}
+    betas += [prop_from_json(beta) for beta in (
+        {"or": [{"and": [x0, y0]}, {"and": [x0, y1]}, no]},
+        {"and": [{"or": [x0, no]}, {"or": [x1, x0, y0]}, yes, x1]},
+        {"and": [{"or": [y0, y1]}, {"or": [y1, y0]}, {"or": [x1, y0, x1]}]},
+        {"or": [no, {"and": [yes, x1, x1]}]},
+    )]
+    deep = PVar(0, 1)
+    for level in range(600):
+        deep = (Or if level % 2 else And)((PVar(level, 1 + level % 2), deep))
+    betas.append(deep)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))   # the old walks: 2 frames a level
+    try:
+        for beta in betas:
+            assert formula_size(beta) == _ref_prop_size(beta)
+            assert set(free_variables(beta)) == _ref_prop_vars(beta)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert formula_size(deep) == 1201 and len(free_variables(deep)) == 600
+    assert importlib.import_module("fvkit.decompose").PVar is PVar
+    for index, side in ((0, 3), (-1, 1)):
+        with pytest.raises(ValidationError, match="bad factor variable"):
+            PVar(index, side)
 
 
 def test_eval_prop_matches_reference_compiler():
