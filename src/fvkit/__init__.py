@@ -32,16 +32,15 @@ from .decompose import (ReductionSequence, VarPartition,
                         reduction_to_json, simplify_reduction)
 from .efgame import (GameConfig, Player, find_separator, prefix_game_winner,
                      tree_prefix_game_winner)
-from .enumeration import (EnumerationCaps, SemanticClass, TestBed,
-                          count_bound_check, enumerate_classes, tower,
-                          transfer_oracle)
+from .enumeration import (SemanticClass, TestBed, count_bound_check,
+                          enumerate_classes, tower, transfer_oracle)
 from .cli import run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "And", "BudgetExceeded", "BOT", "CapExceeded", "Classification",
-    "EnumerationCaps", "Exists", "Forall",
+    "Exists", "Forall",
     "Formula", "FvError", "GameConfig", "Interpretation", "Literal", "MARK",
     "Or", "PVar",
     "ParseError", "PI", "Player", "PropFormula", "ReductionSequence",

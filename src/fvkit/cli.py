@@ -20,7 +20,7 @@ import sys
 from .decompose import (VarPartition, decompose, decompose_over_op,
                         eval_reduction, reduction_to_json, simplify_reduction)
 from .efgame import GameConfig, prefix_game_winner, tree_prefix_game_winner
-from .enumeration import (EnumerationCaps, TestBed, count_bound_check,
+from .enumeration import (DEFAULT_MAX_CLASSES, TestBed, count_bound_check,
                           enumerate_classes)
 from .errors import BudgetExceeded, CapExceeded, FvError, ParseError, \
     ValidationError
@@ -157,8 +157,8 @@ def _cmd_game(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     bed = TestBed(_load_structure_dir(args.structures), _split_csv(args.vars))
-    caps = EnumerationCaps(max_classes=args.max_classes)
-    for c in enumerate_classes(args.cls, args.n, args.k, bed, caps):
+    for c in enumerate_classes(args.cls, args.n, args.k, bed,
+                               args.max_classes):
         print(f"0x{c.bits:x} {print_formula(c.representative)}")
     return 0
 
@@ -167,8 +167,8 @@ def _cmd_count_check(args) -> int:
     vocab = _load_vocab(args.vocab)
     ctx = tuple(f"x{i + 1}" for i in range(args.t))
     bed = TestBed(_load_structure_dir(args.structures), ctx)
-    caps = EnumerationCaps(max_classes=args.max_classes)
-    result = count_bound_check(args.n, args.m, args.t, vocab, bed, caps)
+    result = count_bound_check(args.n, args.m, args.t, vocab, bed,
+                               args.max_classes)
     print(json.dumps(result))
     return 0 if result["ok"] else 1
 
@@ -372,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structures", required=True,
                    help="directory of structure JSON files")
     p.add_argument("--vars", help="comma-separated context variables")
-    p.add_argument("--max-classes", type=int, default=200_000)
+    p.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("count-check",
@@ -382,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--structures", required=True)
-    p.add_argument("--max-classes", type=int, default=200_000)
+    p.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES)
     p.set_defaults(func=_cmd_count_check)
 
     return parser

@@ -36,7 +36,7 @@ from typing import NamedTuple, Union
 from .errors import ValidationError
 from .formula import (And, Exists, Forall, Formula, Literal, Or, PI, PVar,
                       PropFormula, SIGMA, TOP, BOT, Vocabulary,
-                      alpha_normalize, formula_size, _parse, free_variables,
+                      formula_size, _parse, free_variables,
                       is_quantifier_free, print_formula, relations_used,
                       vocabulary_from_json)
 from .interp import SumLikeOp, transform_formula
@@ -407,8 +407,8 @@ def decompose(f: Formula, partition: VarPartition) -> ReductionSequence:
     resolved into constants by the side split.  Quantified results are in
     pair normal form for the side matching the root (existential roots and
     conjunctions of quantified parts give the Sigma form, dually for Pi).
+    Bound names are kept, and a binder that reuses a name is scoped exactly.
     """
-    f = alpha_normalize(f)
     sides = partition.side_of()
     missing = [v for v in free_variables(f) if v not in sides]
     if missing:
@@ -433,8 +433,10 @@ _Part = Union[And, Or, _Pairs]
 
 class _Engine:
     """One decomposition run.  ``sides`` maps every variable in scope to its
-    component; results are memoized on (subformula, sides of its free
-    variables), so structurally equal subformulas are decomposed once.
+    component (None once a binder's name is out of scope); a binder sets its
+    name's side for its body, then puts back the side the name had before.
+    Results are memoized on (subformula, sides of its free variables), so
+    structurally equal subformulas are decomposed once.
 
     Results keep their own factor lists; :meth:`run` lays them out once,
     into the whole reduction's lists and beta."""
@@ -495,11 +497,12 @@ class _Engine:
 
     def _quantifier(self, f: Union[Exists, Forall], mode: str) -> _Pairs:
         var, body = f.var, f.body
+        outer = self.sides.get(var)  # None when the name is out of scope
         views = []
         for side in (1, 2):
             self.sides[var] = side
             views.append(_normalize(self._rec(body), (), (), mode))
-        del self.sides[var]
+        self.sides[var] = outer
         kind = Exists if mode == SIGMA else Forall
         left, right = views
         return _Pairs(mode,

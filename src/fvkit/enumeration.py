@@ -23,14 +23,16 @@ its output is built from.  The transfer oracle (does every existential-class
 sentence true on the left position hold on the right one?) and the
 class-counting bound check read the bits alone; separators are read off the
 game solver in ``efgame``.  The oracle's level 0 is the literals alone, left
-to the level-1 fold to combine.  Its cache is keyed on the boards
-themselves, which are hashable values, and a query and its reverse share
-one class computation.  All orders of iteration are deterministic, so
-repeated runs produce byte-identical output.
+to the level-1 fold to combine.  Its cache keeps the last 256 beds, keyed
+on the unordered pair of board values, so a query and its reverse share one
+class computation.  Each entry point takes its class cap as the plain int
+``max_classes``.  All orders of iteration are deterministic, so repeated
+runs produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -41,6 +43,8 @@ from .structure import Structure
 
 # Magnitude guard for materialized tower values (in bits).
 DEFAULT_TOWER_MAX_BITS = 1 << 20
+# Default of every class cap: a closure that passes it raises CapExceeded.
+DEFAULT_MAX_CLASSES = 200_000
 # Bits of the largest bound count_bound_check returns: 2**14_000 has 4,215
 # decimal digits, and Python refuses to print an int of more than 4,300.
 PRINTABLE_BOUND_BITS = 14_000
@@ -74,11 +78,6 @@ def tower_at_least(level: int, base: int, value: int) -> bool:
             return True
         t = 2 ** t
     return t >= value
-
-
-@dataclass
-class EnumerationCaps:
-    max_classes: int = 200_000
 
 
 def _check_class_cap(count: int, limit: int) -> None:
@@ -208,7 +207,7 @@ def _join(junction, a: Formula, b: Formula) -> Formula:
 
 
 def _closure(classes: dict[int, object], ops: tuple[str, ...],
-             caps: EnumerationCaps) -> dict[int, object]:
+             max_classes: int) -> dict[int, object]:
     """Close under each listed operation in turn by a generator fold.
 
     Each operation is associative, commutative and idempotent, so folding
@@ -220,10 +219,10 @@ def _closure(classes: dict[int, object], ops: tuple[str, ...],
     generated lattice by distributivity.
 
     Returns the input classes, then the new ones in fold order with recipe
-    ``(op, c, g)``.  Passing ``caps.max_classes`` raises CapExceeded.
+    ``(op, c, g)``.  Passing ``max_classes`` raises CapExceeded.
     """
     found = dict(classes)
-    _check_class_cap(len(found), caps.max_classes)
+    _check_class_cap(len(found), max_classes)
     for op in ops:
         meet = op == "and"
         closed: list[int] = []
@@ -241,7 +240,7 @@ def _closure(classes: dict[int, object], ops: tuple[str, ...],
                 closed.append(bits)
                 if bits not in found:
                     found[bits] = (op, c, g)
-                    _check_class_cap(len(found), caps.max_classes)
+                    _check_class_cap(len(found), max_classes)
     return found
 
 
@@ -290,7 +289,8 @@ def _project(classes: dict[int, object], bed: TestBed, ext: TestBed,
 
 
 def enumerate_classes(mode: str, n: int, k: int, bed: TestBed,
-                      caps: EnumerationCaps | None = None) -> list[SemanticClass]:
+                      max_classes: int = DEFAULT_MAX_CLASSES
+                      ) -> list[SemanticClass]:
     """All semantic classes of the level-n prefix class with blocks of
     length k over the bed, in deterministic construction order.
 
@@ -300,13 +300,14 @@ def enumerate_classes(mode: str, n: int, k: int, bed: TestBed,
     in construction order.  Each representative is the one its recipe
     gives, so the output is the same as building every class's.
 
-    Raises CapExceeded (never returns a truncated set) when the caps hit.
+    Raises CapExceeded (never returns a truncated set) once a closure holds
+    more than ``max_classes`` classes.
     """
     if mode not in (SIGMA, PI):
         raise ValidationError(f"mode must be {SIGMA!r} or {PI!r}")
     if n < 0 or (n >= 1 and k < 1):
         raise ValidationError("need n >= 0 and k >= 1 for quantified levels")
-    levels = _level_classes(mode, n, k, bed, caps or EnumerationCaps(), True)
+    levels = _level_classes(mode, n, k, bed, max_classes, True)
     # a recipe names only classes made before it, on its level or below
     needed, wanted = [], set(levels[-1][0])
     for classes, _ in reversed(levels):
@@ -340,20 +341,21 @@ def enumerate_classes(mode: str, n: int, k: int, bed: TestBed,
 
 
 def _level_classes(mode: str, n: int, k: int, bed: TestBed,
-                   caps: EnumerationCaps, full_level0: bool) -> list[tuple]:
+                   max_classes: int, full_level0: bool) -> list[tuple]:
     """The levels, innermost first, as (recipe dict, the quantifiers that its
     projection recipes put around their inner class one level down)."""
     if n == 0:
         seeds = _literal_seeds(bed)
-        return [(_closure(seeds, ("and", "or"), caps) if full_level0
+        return [(_closure(seeds, ("and", "or"), max_classes) if full_level0
                  else seeds, ())]
     fresh = _fresh_names(bed.var_context, k)
     ext = bed.extend(fresh)
     levels = _level_classes(PI if mode == SIGMA else SIGMA, n - 1, k, ext,
-                            caps, full_level0)
+                            max_classes, full_level0)
     closed = levels[-1][0]
     if not (full_level0 and n == 1):  # a full level 0 is closed already
-        closed = _closure(closed, ("and" if mode == SIGMA else "or",), caps)
+        closed = _closure(closed, ("and" if mode == SIGMA else "or",),
+                          max_classes)
         levels[-1] = (closed, levels[-1][1])
     kind = Exists if mode == SIGMA else Forall
     return levels + [(_project(closed, bed, ext, mode),
@@ -364,17 +366,20 @@ def _level_classes(mode: str, n: int, k: int, bed: TestBed,
 # Transfer oracle
 
 
-# (bed, class bitsets) keyed by (n, k, a1, a2, anchor length, cap), the
-# boards in the order of the query that built the bed; the reverse query
-# finds the entry under the swapped key.  Past _TRANSFER_CACHE_SIZE entries
-# the oldest goes first, so a long run's memory stays flat.
-_TRANSFER_CACHE_SIZE = 256
-_transfer_cache: dict[tuple, tuple[TestBed, list[int]]] = {}
+@functools.lru_cache(maxsize=256)
+def _transfer_bed(n: int, k: int, boards: frozenset, t: int,
+                  max_classes: int) -> tuple[TestBed, tuple[int, ...]]:
+    """The oracle's bed over the two boards, in the set's order (one board
+    twice when they are equal), with t context variables, and its top-level
+    class bits."""
+    bed = TestBed((*boards, *boards)[:2], tuple(f"x{i + 1}" for i in range(t)))
+    levels = _level_classes(SIGMA, n, k, bed, max_classes, False)
+    return bed, tuple(levels[-1][0])
 
 
 def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
                     a2: Structure, a2_tuple: tuple[str, ...],
-                    caps: EnumerationCaps | None = None) -> bool:
+                    max_classes: int = DEFAULT_MAX_CLASSES) -> bool:
     """Does every existential level-n block-k formula true at (a1, a1_tuple)
     hold at (a2, a2_tuple)?
 
@@ -386,30 +391,20 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
     -- while the class sets stay small enough for n = 2, k = 2 on two
     pointed 2-element boards, where the full pipeline passes the class cap.
 
-    A query and its reverse share one cached bed, whichever built it: a
-    formula's truth on one board does not depend on the other, so the
-    reversed bed's classes are these with the boards' row blocks swapped,
-    and the query reads its two rows on each board's side of the bed.
+    The last 256 beds are cached, keyed on the unordered pair of board
+    values, so a query and its reverse share one bed: a formula's truth on
+    one board does not depend on the other, and the query reads each of
+    its two rows on the side where the bed holds that board.  Equal boards
+    read alike on either side.  A query that raises caches nothing.
     """
-    caps = caps or EnumerationCaps()
     if a1.vocab != a2.vocab:
         raise ValidationError("vocabulary mismatch")
     if len(a1_tuple) != len(a2_tuple):
         raise ValidationError("anchor tuples must have equal length")
-    key = (n, k, a1, a2, len(a1_tuple), caps.max_classes)
-    hit, swap = _transfer_cache.get(key), False
-    if hit is None:
-        hit = _transfer_cache.get((n, k, a2, a1) + key[4:])
-        swap = hit is not None
-    if hit is None:
-        bed = TestBed((a1, a2), tuple(f"x{i + 1}" for i in range(key[4])))
-        hit = bed, list(_level_classes(SIGMA, n, k, bed, caps, False)[-1][0])
-        if len(_transfer_cache) >= _TRANSFER_CACHE_SIZE:
-            del _transfer_cache[next(iter(_transfer_cache))]
-        _transfer_cache[key] = hit
-    bed, bits_list = hit
-    m1 = 1 << bed.row_index(int(swap), tuple(a1_tuple))
-    m2 = 1 << bed.row_index(int(not swap), tuple(a2_tuple))
+    bed, bits_list = _transfer_bed(n, k, frozenset((a1, a2)), len(a1_tuple),
+                                   max_classes)
+    m1 = 1 << bed.row_index(bed.structures.index(a1), tuple(a1_tuple))
+    m2 = 1 << bed.row_index(bed.structures.index(a2), tuple(a2_tuple))
     return all(bits & m2 for bits in bits_list if bits & m1)
 
 
@@ -418,7 +413,7 @@ def transfer_oracle(n: int, k: int, a1: Structure, a1_tuple: tuple[str, ...],
 
 
 def count_bound_check(n: int, m: int, t: int, vocab: Vocabulary, bed: TestBed,
-                      caps: EnumerationCaps | None = None) -> dict:
+                      max_classes: int = DEFAULT_MAX_CLASSES) -> dict:
     """Count level-n classes of quantifier rank <= m over the bed and compare
     with the tower-of-exponentials bound.
 
@@ -428,14 +423,13 @@ def count_bound_check(n: int, m: int, t: int, vocab: Vocabulary, bed: TestBed,
     bed-equivalence coarsens logical equivalence the count never exceeds the
     bound on a correct implementation.
     """
-    caps = caps or EnumerationCaps()
     if t != len(bed.var_context):
         raise ValidationError("t must equal the bed's context length")
     if vocab != bed.vocab:
         raise ValidationError("vocabulary mismatch with the bed")
     if n < 0 or m < 0:
         raise ValidationError("n and m must be >= 0")
-    count = len(_rank_classes(SIGMA, n, m, bed, caps))
+    count = len(_rank_classes(SIGMA, n, m, bed, max_classes))
     arity = max(vocab.relations.values(), default=1)
     base = (len(vocab.relations) + 1) * (n + 1) * (m + t) ** arity
     ok = tower_at_least(n + 2, base, count)
@@ -446,17 +440,19 @@ def count_bound_check(n: int, m: int, t: int, vocab: Vocabulary, bed: TestBed,
 
 
 def _rank_classes(mode: str, n: int, m: int, bed: TestBed,
-                  caps: EnumerationCaps) -> dict[int, object]:
+                  max_classes: int) -> dict[int, object]:
     """The classes as keys; their recipes mix levels and are never walked."""
     if n == 0:
-        return _closure(_literal_seeds(bed), ("and", "or"), caps)
+        return _closure(_literal_seeds(bed), ("and", "or"), max_classes)
     dual = PI if mode == SIGMA else SIGMA
     op = "and" if mode == SIGMA else "or"
     merged: dict[int, object] = {}
     for j in range(m + 1):
         ext = bed.extend(_fresh_names(bed.var_context, j))
-        closed = _closure(_rank_classes(dual, n - 1, m - j, ext, caps), (op,),
-                          caps)
+        closed = _closure(_rank_classes(dual, n - 1, m - j, ext, max_classes),
+                          (op,), max_classes)
         merged.update(_project(closed, bed, ext, mode) if j else closed)
-        _check_class_cap(len(merged), caps.max_classes)
+        _check_class_cap(len(merged), max_classes)
+        if len(merged) == 1 << len(bed.rows):  # all classes: no j adds one
+            break
     return merged

@@ -1,6 +1,7 @@
 """CLI surface: subcommand output shapes and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -348,3 +349,75 @@ def test_cap_exit_code(files, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "inconclusive" in err
+
+
+def test_vocab_from_a_file(tmp_path, capsys):
+    path = tmp_path / "vocab.json"
+    path.write_text('{"E": 2}')
+    assert run(["classify", "--formula", "(exists (x) (forall (y) (E x y)))",
+                "--vocab", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"sigma_level": 2, "pi_level": 3, "rank": 2, '
+        '"block_uniform_k": 1}\n')
+
+
+def test_eval_ordered_sum_of_two_chains(tmp_path, capsys):
+    save_structure(linear_order(2), str(tmp_path / "c2.json"))
+    save_structure(linear_order(1, prefix="b"), str(tmp_path / "c1.json"))
+    assert run(["eval", "--structure", str(tmp_path / "c2.json"),
+                "--structure", str(tmp_path / "c1.json"),
+                "--op", "ordered-sum",
+                "--formula", "(exists (x) (forall (y) (<= x y)))"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_count_check_stops_once_every_class_is_found(tmp_path, capsys):
+    # one 1-element board has two classes, true and false; the rank loop
+    # ends once it holds both, so a huge --m finishes at once
+    structs = tmp_path / "structs"
+    structs.mkdir()
+    save_structure(Structure(VE, ("a",), {"E": frozenset({("a", "a")})}),
+                   str(structs / "loop.json"))
+    start = time.perf_counter()
+    assert run(["count-check", "--n", "1", "--m", "1000000000", "--t", "0",
+                "--vocab", '{"E": 2}', "--structures", str(structs)]) == 0
+    assert time.perf_counter() - start < 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["count"] == 2 and out["ok"] is True
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["decompose", "--formula", "(E x y)", "--op", "nlc-sum"], 2,
+     "error: nlc-sum needs a parameter file: nlc-sum:<file>\n"),
+    (["enumerate", "--class", "sigma", "--n", "1", "--k", "1",
+      "--structures", "{d}/empty"], 2, "error: no .json structures under "),
+    (["decompose", "--formula", "true", "--op", "join",
+      "--interp", "{d}/xi.json"], 2,
+     "error: --op and --interp are mutually exclusive\n"),
+    (["eval", "--structure", "{d}/L5.json", "--structure", "{d}/L4.json",
+      "--formula", "true"], 2,
+     "error: an --op is required with two structures\n"),
+    (["eval", "--structure", "{d}/L5.json", "--op", "ordered-sum",
+      "--formula", "true"], 2, "error: --op needs two --structure files\n"),
+    (["eval", "--structure", "{d}/L5.json", "--structure", "{d}/L4.json",
+      "--structure", "{d}/L4.json", "--op", "ordered-sum",
+      "--formula", "true"], 2, "error: pass one or two --structure files\n"),
+    (["check-decomposition", "--formula", "(exists (z) (E z z))",
+      "--op", "join", "--max-size", "4"], 3,
+     "inconclusive: exhaustive structure space too large; use --trials\n"),
+    (["check-decomposition", "--random", "tau,n=1", "--op", "join"], 2,
+     "error: bad --random spec 'tau,n=1'; "),
+    (["check-decomposition", "--formula", "true", "--random", "sigma",
+      "--op", "join"], 2, "error: pass exactly one of --formula / --random\n"),
+    (["check-decomposition", "--op", "join"], 2,
+     "error: pass exactly one of --formula / --random\n"),
+], ids=["bare-nlc-sum", "empty-structure-dir", "op-and-interp",
+        "two-structures-no-op", "op-one-structure", "three-structures",
+        "structure-space-cap", "bad-random-spec", "formula-and-random",
+        "neither-formula-nor-random"])
+def test_cli_error_exits(argv, code, err, files, capsys):
+    (files / "empty").mkdir()
+    assert run([a.replace("{d}", str(files)) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(err)

@@ -16,11 +16,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvkit import (BOT, MARK, And, BudgetExceeded, Or, PI, PVar,
+from fvkit import (BOT, MARK, And, BudgetExceeded, Literal, Or, PI, PVar,
                    ReductionSequence, SIGMA, Structure, TOP,
                    ValidationError, VarPartition, Vocabulary,
-                   annotated_disjoint_union, builtin, classify, decompose,
-                   decompose_over_op, evaluate, eval_prop, eval_reduction,
+                   annotated_disjoint_union, apply_sum_like, builtin,
+                   classify, decompose, decompose_over_op, evaluate,
+                   eval_prop, eval_reduction,
                    formula_size, free_variables, normalize_pairs,
                    parse_formula, print_formula, prop_from_json, prop_to_json,
                    quantifier_rank,
@@ -1055,3 +1056,46 @@ def test_heavy_reduction_pinned():
     assert len(d.delta1) == 2080
     assert reductions_digest([d]) == \
         "db12395956d4f45a14164e7353bb0fa84cb25d94d6f3576a50623054c33b8bb6"
+
+
+# ---------------------------------------------------------------------------
+# Binders that reuse names: decompose renames nothing, and scopes each
+# binder exactly
+
+
+def _rebound(f, name, env=None):
+    """``f`` with every binder renamed to ``name``; each bound occurrence
+    follows its binder, so a binder may now capture an outer binder's
+    variable or a free variable of that name."""
+    env = env or {}
+    if isinstance(f, Literal):
+        return Literal(f.positive, f.relation,
+                       tuple(env.get(a, a) for a in f.args))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_rebound(c, name, env) for c in f.children))
+    return type(f)(name, _rebound(f.body, name, {**env, f.var: name}))
+
+
+@pytest.mark.parametrize("name", ["x", "v1", "v2"])
+def test_reused_binder_names_match_composites(name, monkeypatch):
+    from test_acceptance import (check_against_composites, formula_suite,
+                                 sum_like_ops)
+    import fvkit.decompose
+    import fvkit.formula
+
+    def refuse(f):
+        raise AssertionError("decompose renamed bound variables")
+    for module in (fvkit.formula, fvkit.decompose):
+        monkeypatch.setattr(module, "alpha_normalize", refuse, raising=False)
+    shadowed = 0
+    for _, op, grid in sum_like_ops():
+        rows = []
+        for _, _, f, part in formula_suite(op.interp.target_vocab, 30):
+            g = _rebound(f, name)
+            shadowed += g != f and name in free_variables(f)
+            rows.append((g, part, decompose_over_op(g, op, part)))
+        composites = [(a, b, apply_sum_like(op, a, b))
+                      for a in grid for b in grid]
+        assert check_against_composites(rows, composites)
+    # formulas whose binders now reuse a free variable's name
+    assert shadowed > 0 if name != "x" else shadowed == 0

@@ -2,12 +2,13 @@
 and the counting check."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fvkit import (BOT, TOP, And, BudgetExceeded, CapExceeded,
-                   EnumerationCaps, Exists, Forall, GameConfig, Literal, Or,
+                   Exists, Forall, GameConfig, Literal, Or,
                    Player,
                    SemanticClass, Structure, TestBed, ValidationError,
                    Vocabulary, classify, count_bound_check,
@@ -122,10 +123,10 @@ def test_enumeration_caps():
     # the seeds alone pass the cap, then the closure's running count does
     with pytest.raises(CapExceeded, match=r"^class cap exceeded: 46 classes, "
                        r"limit 5 \(inconclusive\)$"):
-        enumerate_classes("sigma", 1, 2, bed, EnumerationCaps(max_classes=5))
+        enumerate_classes("sigma", 1, 2, bed, max_classes=5)
     with pytest.raises(CapExceeded, match=r"^class cap exceeded: 101 classes, "
                        r"limit 100 \(inconclusive\)$"):
-        enumerate_classes("sigma", 1, 2, bed, EnumerationCaps(max_classes=100))
+        enumerate_classes("sigma", 1, 2, bed, max_classes=100)
 
 
 def test_transfer_oracle_examples():
@@ -197,12 +198,12 @@ def test_tower_monotone(level, base):
             assert tower(level, base) >= base
 
 
-def _pairwise_closure(classes, ops, caps):
+def _pairwise_closure(classes, ops, max_classes):
     """The closure before the generator fold, kept as the reference: each
     round combines every known class with each of the last round's new
     classes, under every operation at once, until nothing new appears."""
     items = dict(classes)
-    if len(items) > caps.max_classes:
+    if len(items) > max_classes:
         raise CapExceeded("class cap exceeded (inconclusive)")
     frontier = list(items)
     while frontier:
@@ -214,7 +215,7 @@ def _pairwise_closure(classes, ops, caps):
                     if bits in items or bits in fresh:
                         continue
                     fresh[bits] = (op, a, b)
-                    if len(items) + len(fresh) > caps.max_classes:
+                    if len(items) + len(fresh) > max_classes:
                         raise CapExceeded("class cap exceeded (inconclusive)")
         items.update(fresh)
         frontier = list(fresh)
@@ -231,7 +232,7 @@ def _transfer_bits(*args):
 
 def _closure_cells():
     """Named class-set computations that all go through ``_closure``."""
-    caps = EnumerationCaps()
+    max_classes = enumeration.DEFAULT_MAX_CLASSES
     structs = tuple(all_structures(VU, 2))
     cells = []
     for t in (0, 1):
@@ -241,7 +242,7 @@ def _closure_cells():
                 if (n, m, t) != (1, 2, 1):
                     cells.append((f"count n={n} m={m} t={t}",
                                   enumeration._rank_classes, "sigma", n, m,
-                                  bed, caps))
+                                  bed, max_classes))
         for mode in ("sigma", "pi"):
             for n, k in ((0, 1), (1, 1), (1, 2), (2, 1)):
                 # with a point, the pairwise closure needs about two minutes
@@ -265,8 +266,8 @@ def _closure_cells():
             for n in (0, 1, 2):
                 for k in (1, 2):
                     cells.append((f"transfer {i}/{j} n={n} k={k} t={t}",
-                                  _transfer_bits, "sigma", n, k, bed, caps,
-                                  False))
+                                  _transfer_bits, "sigma", n, k, bed,
+                                  max_classes, False))
     return cells
 
 
@@ -321,9 +322,9 @@ def _ref_dedupe(classes):
     return list(seen.values())
 
 
-def _ref_closure(classes, ops, caps):
+def _ref_closure(classes, ops, max_classes):
     found = {c.bits: c for c in _ref_dedupe(classes)}
-    enumeration._check_class_cap(len(found), caps.max_classes)
+    enumeration._check_class_cap(len(found), max_classes)
     for op in ops:
         if op == "and":
             combine, junction, largest_first = int.__and__, And, True
@@ -348,7 +349,7 @@ def _ref_closure(classes, ops, caps):
                 if bits not in found:
                     found[bits] = SemanticClass(bits, enumeration._join(
                         junction, found[c].representative, g.representative))
-                    enumeration._check_class_cap(len(found), caps.max_classes)
+                    enumeration._check_class_cap(len(found), max_classes)
     return list(found.values())
 
 
@@ -375,32 +376,33 @@ def _ref_project(classes, bed, ext, fresh, mode):
     return _ref_dedupe(out)
 
 
-def _ref_level_classes(mode, n, k, bed, caps, full_level0):
+def _ref_level_classes(mode, n, k, bed, max_classes, full_level0):
     if n == 0:
         seeds = _ref_literal_seeds(bed)
         if full_level0:
-            return _ref_closure(seeds, ("and", "or"), caps)
+            return _ref_closure(seeds, ("and", "or"), max_classes)
         return seeds
     fresh = enumeration._fresh_names(bed.var_context, k)
     ext = bed.extend(fresh)
     dual = "pi" if mode == "sigma" else "sigma"
-    sub = _ref_level_classes(dual, n - 1, k, ext, caps, full_level0)
+    sub = _ref_level_classes(dual, n - 1, k, ext, max_classes, full_level0)
     op = "and" if mode == "sigma" else "or"
-    closed = _ref_closure(sub, (op,), caps)
+    closed = _ref_closure(sub, (op,), max_classes)
     return _ref_project(closed, bed, ext, fresh, mode)
 
 
-def _ref_rank_classes(mode, n, m, bed, caps):
+def _ref_rank_classes(mode, n, m, bed, max_classes):
     if n == 0:
-        return _ref_closure(_ref_literal_seeds(bed), ("and", "or"), caps)
+        return _ref_closure(_ref_literal_seeds(bed), ("and", "or"),
+                            max_classes)
     dual = "pi" if mode == "sigma" else "sigma"
     op = "and" if mode == "sigma" else "or"
     merged = {}
     for j in range(m + 1):
         fresh = enumeration._fresh_names(bed.var_context, j)
         ext = bed.extend(fresh)
-        sub = _ref_rank_classes(dual, n - 1, m - j, ext, caps)
-        closed = _ref_closure(sub, (op,), caps)
+        sub = _ref_rank_classes(dual, n - 1, m - j, ext, max_classes)
+        closed = _ref_closure(sub, (op,), max_classes)
         if j:
             projected = _ref_project(closed, bed, ext, fresh, mode)
         else:
@@ -408,7 +410,7 @@ def _ref_rank_classes(mode, n, m, bed, caps):
         for c in projected:
             if c.bits not in merged:
                 merged[c.bits] = c
-        enumeration._check_class_cap(len(merged), caps.max_classes)
+        enumeration._check_class_cap(len(merged), max_classes)
     return list(merged.values())
 
 
@@ -453,8 +455,7 @@ def test_pipeline_matches_reference(monkeypatch):
                                             (1, 2)):
             if n + k > (4 if small else 3) or (n == 0 and k == 2):
                 continue
-            for cap in (EnumerationCaps(max_classes=3000),
-                        EnumerationCaps(max_classes=40)):
+            for cap in (3000, 40):
                 want = _outcome(_ref_level_classes, mode, n, k, bed, cap,
                                 True)
                 got = _outcome(enumerate_classes, mode, n, k, bed, cap)
@@ -463,13 +464,13 @@ def test_pipeline_matches_reference(monkeypatch):
     count_cells = [(bed, n, m) for bed in beds[:2] + beds[3:5]
                    for n in (0, 1) for m in (0, 1, 2)]
     for bed, n, m in count_cells:
-        for cap in (EnumerationCaps(), EnumerationCaps(max_classes=20)):
+        for cap in (enumeration.DEFAULT_MAX_CLASSES, 20):
             args = (n, m, len(bed.var_context), bed.vocab, bed, cap)
             got = _outcome(count_bound_check, *args)
             with monkeypatch.context() as patch:
                 patch.setattr(enumeration, "_rank_classes", _ref_rank_classes)
                 assert _outcome(count_bound_check, *args) == got
-    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    enumeration._transfer_bed.cache_clear()
     boards = beds[0].structures + beds[-1].structures[2:]
     answers = 0
     for a, b in itertools.product(boards, repeat=2):
@@ -480,7 +481,8 @@ def test_pipeline_matches_reference(monkeypatch):
                 m1 = 1 << bed.rows.index((0, ta))
                 m2 = 1 << bed.rows.index((1, tb))
                 classes = _ref_level_classes("sigma", n, k, bed,
-                                             EnumerationCaps(), False)
+                                             enumeration.DEFAULT_MAX_CLASSES,
+                                             False)
                 want = all(c.bits & m2 for c in classes if c.bits & m1)
                 assert transfer_oracle(n, k, a, ta, b, tb) == want
                 answers += 1
@@ -491,7 +493,7 @@ def test_oracle_and_count_build_no_formulas(monkeypatch):
     def refuse(*args):
         raise AssertionError("a representative was built")
     monkeypatch.setattr(enumeration, "_join", refuse)
-    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    enumeration._transfer_bed.cache_clear()
     structs = all_structures(VU, 2)
     # criterion 5's heaviest kind of pair: two pointed 2-element boards
     a, b = structs[3], structs[4]
@@ -514,7 +516,7 @@ def test_transfer_oracle_cannot_reach_n4():
 
 
 def test_transfer_oracle_reverse_hits_the_cache(monkeypatch):
-    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    enumeration._transfer_bed.cache_clear()
     inner = enumeration._level_classes
     calls = []
 
@@ -527,15 +529,16 @@ def test_transfer_oracle_reverse_hits_the_cache(monkeypatch):
         ta, tb = (a.universe[0],), (b.universe[1],)
         forward = transfer_oracle(2, 2, a, ta, b, tb)
         assert calls, "the forward query computes its bed"
-        size = len(enumeration._transfer_cache)
+        size = enumeration._transfer_bed.cache_info().currsize
         calls.clear()
         backward = transfer_oracle(2, 2, b, tb, a, ta)
-        assert calls == [] and len(enumeration._transfer_cache) == size
+        assert calls == [] and \
+            enumeration._transfer_bed.cache_info().currsize == size
         for answer, cfg_args in ((forward, (a, ta, b, tb)),
                                  (backward, (b, tb, a, ta))):
             assert answer == (prefix_game_winner(GameConfig(2, 2), *cfg_args)
                               == Player.Duplicator)
-        monkeypatch.setattr(enumeration, "_transfer_cache", {})
+        enumeration._transfer_bed.cache_clear()
 
 
 def test_transfer_oracle_either_order_matches_reference(monkeypatch):
@@ -549,11 +552,12 @@ def test_transfer_oracle_either_order_matches_reference(monkeypatch):
         first, second = x, y
         for n, k in ((1, 1), (2, 1), (2, 2)):
             for t in (0, 1):
-                monkeypatch.setattr(enumeration, "_transfer_cache", {})
+                enumeration._transfer_bed.cache_clear()
                 for a, b in ((first, second), (second, first)):
                     bed = TestBed((a, b), ("x1",)[:t])
-                    classes = _ref_level_classes("sigma", n, k, bed,
-                                                 EnumerationCaps(), False)
+                    classes = _ref_level_classes(
+                        "sigma", n, k, bed, enumeration.DEFAULT_MAX_CLASSES,
+                        False)
                     for ta, tb in tuples:
                         if len(ta) != t or not (set(ta) <= a.elements
                                                 and set(tb) <= b.elements):
@@ -565,7 +569,7 @@ def test_transfer_oracle_either_order_matches_reference(monkeypatch):
                         assert transfer_oracle(n, k, a, ta, b, tb) == want
                         checked += 1
                 # one entry served both orders
-                assert len(enumeration._transfer_cache) == 1
+                assert enumeration._transfer_bed.cache_info().currsize == 1
     assert checked == 480
 
 
@@ -575,22 +579,21 @@ def test_transfer_oracle_cap_is_the_same_in_either_order(monkeypatch):
     assert a != b
     # the seeds pass the first cap, a level-1 fold the second
     for cap, count in ((6, 32), (1000, 1001)):
-        caps = EnumerationCaps(max_classes=cap)
         message = (f"class cap exceeded: {count} classes, limit {cap} "
                    "(inconclusive)")
         for x, tx, y, ty in ((a, ("e0",), b, ("e1",)),
                              (b, ("e1",), a, ("e0",))):
-            monkeypatch.setattr(enumeration, "_transfer_cache", {})
+            enumeration._transfer_bed.cache_clear()
             with pytest.raises(CapExceeded) as exc:
-                transfer_oracle(2, 2, x, tx, y, ty, caps)
+                transfer_oracle(2, 2, x, tx, y, ty, max_classes=cap)
             assert str(exc.value) == message
             assert _outcome(_ref_level_classes, "sigma", 2, 2,
-                            TestBed((x, y), ("x1",)), caps, False) == message
-            assert enumeration._transfer_cache == {}
+                            TestBed((x, y), ("x1",)), cap, False) == message
+            assert enumeration._transfer_bed.cache_info().currsize == 0
 
 
 def test_transfer_oracle_keys_on_board_values(monkeypatch):
-    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    enumeration._transfer_bed.cache_clear()
     inner = enumeration._level_classes
     calls = []
 
@@ -600,20 +603,21 @@ def test_transfer_oracle_keys_on_board_values(monkeypatch):
     monkeypatch.setattr(enumeration, "_level_classes", counting)
     a, b = all_structures(VU, 2)[3:5]
     transfer_oracle(2, 2, a, ("e0",), b, ("e1",))
-    assert calls and len(enumeration._transfer_cache) == 1
+    assert calls and enumeration._transfer_bed.cache_info().currsize == 1
     # equal boards that are other objects find the entry in either order
     a2, b2 = (structure_from_json(structure_to_json(s)) for s in (a, b))
     assert (a2, b2) == (a, b) and a2 is not a and b2 is not b
     for query in ((a2, ("e0",), b2, ("e1",)), (b2, ("e1",), a2, ("e0",))):
         calls.clear()
         answer = transfer_oracle(2, 2, *query)
-        assert calls == [] and len(enumeration._transfer_cache) == 1
+        assert calls == [] and \
+            enumeration._transfer_bed.cache_info().currsize == 1
         assert answer == (prefix_game_winner(GameConfig(2, 2), *query)
                           == Player.Duplicator)
 
 
 def test_transfer_oracle_hit_builds_no_bed(monkeypatch):
-    monkeypatch.setattr(enumeration, "_transfer_cache", {})
+    enumeration._transfer_bed.cache_clear()
     built = []
 
     class CountingBed(TestBed):
@@ -628,7 +632,7 @@ def test_transfer_oracle_hit_builds_no_bed(monkeypatch):
     for query in ((a, ("e0",), b, ("e1",)), (b, ("e1",), a, ("e0",)),
                   (a, ("e1",), b, ("e0",)), (b, ("e0",), a, ("e1",))):
         transfer_oracle(1, 1, *query)
-    assert built == [] and len(enumeration._transfer_cache) == 1
+    assert built == [] and enumeration._transfer_bed.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +671,8 @@ def test_lazy_representatives_match_forward_builder():
     for mode, n, k, t in ENUM_CELLS:
         bed = u_bed(("x1",)[:t])
         levels = enumeration._level_classes(mode, n, k, bed,
-                                            EnumerationCaps(), True)
+                                            enumeration.DEFAULT_MAX_CLASSES,
+                                            True)
         want = _printed(_forward_representatives(levels))
         assert _printed(enumerate_classes(mode, n, k, bed)) == want, \
             (mode, n, k, t)
@@ -684,3 +689,32 @@ def test_lazy_representatives_build_only_what_is_needed(monkeypatch):
     classes = enumerate_classes("sigma", 2, 1, u_bed(("x1",)))
     # the forward builder makes 16,370 joins on this cell
     assert len(classes) == 64 and len(joins) == 80
+
+
+def test_transfer_oracle_keeps_at_most_256_beds():
+    enumeration._transfer_bed.cache_clear()
+    # each cap is a key of its own: 300 entries are offered
+    for cap in range(1000, 1300):
+        assert not transfer_oracle(1, 1, WITHOUT_U, (), WITH_U, (),
+                                   max_classes=cap)
+    assert enumeration._transfer_bed.cache_info().currsize == 256
+
+
+# ---------------------------------------------------------------------------
+# The rank loop ends once the bed's classes are all found
+
+
+def test_count_stops_once_every_class_is_found():
+    loop = Structure(VE, ("a",), {"E": frozenset({("a", "a")})})
+    start = time.perf_counter()
+    result = count_bound_check(1, 10 ** 9, 0, VE, TestBed((loop,)))
+    assert time.perf_counter() - start < 1
+    assert result["count"] == 2 and result["ok"] is True
+    # two boards that one existential sentence tells apart: all four
+    # classes by j = 1, and the count the full loop gives
+    bed = TestBed((WITH_U, WITHOUT_U))
+    for m in (1, 2, 3, 10 ** 9):
+        assert count_bound_check(1, m, 0, VU, bed)["count"] == 4
+    for m in range(4):
+        assert len(enumeration._rank_classes("sigma", 1, m, bed, 100)) == \
+            len(_ref_rank_classes("sigma", 1, m, bed, 100))
