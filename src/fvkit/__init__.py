@@ -9,13 +9,11 @@ from .errors import (BudgetExceeded, CapExceeded, FvError, ParseError,
                      ValidationError)
 from .formula import (And, Classification, Exists, Forall, Formula,
                       Literal, Or, PI, PVar, PropFormula, SIGMA, TOP, BOT,
-                      Vocabulary,
-                      alpha_normalize, block_uniform, classify, formula_size,
+                      Vocabulary, block_uniform, classify, formula_size,
                       free_variables, in_pi, in_sigma, is_quantifier_free,
-                      negate_dual,
-                      parse_formula, print_formula, quantifier_rank,
-                      random_formula, substitute, vocabulary_from_json,
-                      vocabulary_to_json)
+                      negate_dual, parse_formula, print_formula,
+                      quantifier_rank, random_formula, substitute,
+                      vocabulary_from_json, vocabulary_to_json)
 from .structure import (MARK, Structure, annotated_disjoint_union,
                         is_partial_isomorphism, load_structure,
                         save_structure, structure_from_json,
@@ -46,7 +44,7 @@ __all__ = [
     "ParseError", "PI", "Player", "PropFormula", "ReductionSequence",
     "SIGMA", "SemanticClass", "Structure", "SumLikeOp",
     "TOP", "TestBed", "ValidationError", "VarPartition",
-    "Vocabulary", "alpha_normalize", "annotated_disjoint_union",
+    "Vocabulary", "annotated_disjoint_union",
     "apply_interpretation", "apply_sum_like", "assignment_from_json",
     "assignment_to_json", "block_uniform", "builtin", "classify",
     "count_bound_check", "decompose", "decompose_over_op",

@@ -22,8 +22,7 @@ from .decompose import (VarPartition, decompose, decompose_over_op,
 from .efgame import GameConfig, prefix_game_winner, tree_prefix_game_winner
 from .enumeration import (DEFAULT_MAX_CLASSES, TestBed, count_bound_check,
                           enumerate_classes)
-from .errors import BudgetExceeded, CapExceeded, FvError, ParseError, \
-    ValidationError
+from .errors import BudgetExceeded, CapExceeded, FvError, ValidationError
 from .formula import (Vocabulary, classify, free_variables, parse_formula,
                       print_formula, random_formula, vocabulary_from_json)
 from .interp import (SumLikeOp, apply_sum_like, builtin, load_interpretation,
@@ -400,10 +399,7 @@ def run(argv) -> int:
     except (CapExceeded, BudgetExceeded) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, FvError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (FvError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

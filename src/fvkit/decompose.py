@@ -36,8 +36,8 @@ from typing import NamedTuple, Union
 from .errors import ValidationError
 from .formula import (And, Exists, Forall, Formula, Literal, Or, PI, PVar,
                       PropFormula, SIGMA, TOP, BOT, Vocabulary,
-                      formula_size, _parse, free_variables,
-                      is_quantifier_free, print_formula, relations_used,
+                      formula_size, free_variables, is_quantifier_free,
+                      parse_formula, print_formula, relations_used,
                       vocabulary_from_json)
 from .interp import SumLikeOp, transform_formula
 from .modelcheck import DEFAULT_ATOM_BUDGET, _check_assignment, _compile
@@ -174,10 +174,10 @@ def _strings(data: dict, key: str) -> tuple[str, ...]:
 
 
 def reduction_from_json(data: dict) -> ReductionSequence:
-    """Inverse of :func:`reduction_to_json`, bound names included; the
-    ``stats`` key is not read.  Each factor's free variables must lie on its
-    side of the partition.  Input too deeply nested for the recursive walks
-    (beta, or a factor's text) is a ValidationError."""
+    """Inverse of :func:`reduction_to_json`: factors are read by
+    :func:`parse_formula`, bound names as written; ``stats`` is not read.
+    Each factor's free variables must lie on its side of the partition.
+    Beta or factor text nested too deeply to walk is a ValidationError."""
     if not isinstance(data, dict):
         raise ValidationError("reduction JSON must be an object")
     for key in ("delta1", "delta2", "beta", "partition", "vocabulary"):
@@ -190,8 +190,10 @@ def reduction_from_json(data: dict) -> ReductionSequence:
     vocab = vocabulary_from_json(data["vocabulary"])
     try:
         d = ReductionSequence(
-            delta1=tuple(_parse(t, vocab) for t in _strings(data, "delta1")),
-            delta2=tuple(_parse(t, vocab) for t in _strings(data, "delta2")),
+            delta1=tuple(parse_formula(t, vocab)
+                         for t in _strings(data, "delta1")),
+            delta2=tuple(parse_formula(t, vocab)
+                         for t in _strings(data, "delta2")),
             beta=prop_from_json(data["beta"]),
             partition=VarPartition(_strings(part, "left"),
                                    _strings(part, "right")),

@@ -2,8 +2,9 @@
 
 The AST is deliberately small: literals (optionally negated atoms), n-ary
 conjunction and disjunction, whose empty forms are the constants true and
-false, and single-variable quantifiers.  Multi-variable quantifier blocks in the concrete syntax are
-desugared to nested single-variable nodes at parse time.
+false, and single-variable quantifiers.  Multi-variable quantifier blocks in
+the concrete syntax are desugared to nested single-variable nodes at parse
+time, and bound variables keep the names they are written with.
 
 The junctions also serve as beta, the propositional formula of a reduction
 sequence, over :class:`PVar` factor variables in place of literals.  A beta
@@ -228,8 +229,8 @@ def relations_used(f: Formula) -> dict[str, int]:
 def print_formula(f: Formula) -> str:
     """Canonical concrete syntax; one variable per quantifier group.
 
-    ``parse_formula(print_formula(f), vocab) == f`` for every formula that
-    satisfies the AST conventions (no unary and/or, normalized bound names).
+    ``parse_formula(print_formula(f), vocab) == f`` for every formula over
+    ``vocab`` with valid names and no unary and/or, bound names included.
     """
     if isinstance(f, Literal):
         atom = "(" + " ".join((f.relation,) + f.args) + ")"
@@ -261,15 +262,10 @@ _TOKEN_RE = re.compile(r"<=|[()=]|[A-Za-z_][A-Za-z0-9_]*|\S")
 def parse_formula(text: str, vocab: Vocabulary) -> Formula:
     """Parse the s-expression syntax.
 
-    Multi-variable quantifier groups are desugared to nested single binders,
-    unary and/or collapse to their child, and bound variables are renamed
-    apart from each other and from the free variables.
+    Multi-variable quantifier groups are desugared to nested single binders
+    and unary and/or collapse to their child; bound variables keep their
+    names as written, also where a binder reuses a name.
     """
-    return alpha_normalize(_parse(text, vocab))
-
-
-def _parse(text: str, vocab: Vocabulary) -> Formula:
-    """:func:`parse_formula` without the renaming of bound variables."""
     toks = _TOKEN_RE.findall(text)
 
     def error(message: str, index: int) -> ParseError:
@@ -377,45 +373,9 @@ def _parse(text: str, vocab: Vocabulary) -> Formula:
 # Renaming
 
 
-def alpha_normalize(f: Formula) -> Formula:
-    """Rename bound variables so they are pairwise distinct and disjoint from
-    the free variables.  Formulas already in that shape come back unchanged
-    (same names, same object graph where possible)."""
-    used = set(free_variables(f))
-
-    def fresh(base: str) -> str:
-        i = 2
-        while f"{base}_{i}" in used:
-            i += 1
-        return f"{base}_{i}"
-
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, Literal):
-            args = tuple(env.get(a, a) for a in g.args)
-            return g if args == g.args else Literal(g.positive, g.relation, args)
-        if isinstance(g, (And, Or)):
-            # a plain loop: a generator expression costs a second frame
-            kids = []
-            for c in g.children:
-                kids.append(walk(c, env))
-            children = tuple(kids)
-            if children == g.children:
-                return g
-            return type(g)(children)
-        name = g.var if g.var not in used else fresh(g.var)
-        used.add(name)
-        inner = dict(env)
-        inner[g.var] = name
-        body = walk(g.body, inner)
-        if name == g.var and body is g.body:
-            return g
-        return type(g)(name, body)
-
-    return walk(f, {})
-
-
 def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename free variables; bound variables shadow as usual."""
+    """Rename free variables; bound variables shadow as usual.  A new name
+    that a binder would capture is a ValidationError (nothing is renamed)."""
     if not mapping:
         return f
     if isinstance(f, Literal):
@@ -424,6 +384,12 @@ def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
     if isinstance(f, (And, Or)):
         return type(f)(tuple(substitute(c, mapping) for c in f.children))
     inner = {k: v for k, v in mapping.items() if k != f.var}
+    for old, new in inner.items():
+        if new == f.var and old in free_variables(f.body):
+            raise ValidationError(
+                f"substituting {new!r} for free variable {old!r} would be "
+                f"captured by the binder ({type(f).__name__.lower()} "
+                f"({f.var}) ...)")
     return type(f)(f.var, substitute(f.body, inner))
 
 

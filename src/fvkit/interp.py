@@ -199,6 +199,10 @@ class SumLikeOp:
     interp: Interpretation
 
     def __post_init__(self) -> None:
+        if MARK in self.interp.target_vocab:
+            raise ValidationError(
+                f"sum-like operation's target vocabulary contains the "
+                f"marker {MARK!r}")
         want = dict(self.interp.target_vocab.relations) | {MARK: 1}
         if dict(self.interp.source_vocab.relations) != want:
             raise ValidationError(

@@ -2,7 +2,7 @@
 
 import itertools
 
-from fvkit import And, Or, PVar, Structure, Vocabulary
+from fvkit import And, Literal, Or, PVar, Structure, Vocabulary
 
 
 def all_structures(vocab, max_size):
@@ -64,3 +64,16 @@ def pair_blocks(beta, mode):
             return None
         out.append(blk)
     return out
+
+
+def rebound(f, name, env=None):
+    """``f`` with every binder renamed to ``name``; each bound occurrence
+    follows its binder, so a binder may now capture an outer binder's
+    variable or a free variable of that name."""
+    env = env or {}
+    if isinstance(f, Literal):
+        return Literal(f.positive, f.relation,
+                       tuple(env.get(a, a) for a in f.args))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(rebound(c, name, env) for c in f.children))
+    return type(f)(name, rebound(f.body, name, {**env, f.var: name}))

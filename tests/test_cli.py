@@ -281,6 +281,20 @@ def test_bad_nlc_sum_parameters_are_input_errors(params, message, tmp_path,
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+def test_interpretation_over_the_marker_is_no_sum_like_op(tmp_path, capsys):
+    # the components' own P would read as the marker of the left summand
+    xi = tmp_path / "xi.json"
+    xi.write_text(json.dumps({
+        "source_vocabulary": {"P": 1}, "target_vocabulary": {"P": 1},
+        "universe_formula": "true", "relation_formulas": {"P": "(P y1)"}}))
+    assert run(["decompose", "--interp", str(xi),
+                "--formula", "(forall (x) (P x))"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: sum-like operation's target vocabulary contains the "
+        "marker 'P'\n")
+
+
 @pytest.mark.parametrize("change", [
     {"relation_formulas": ["(E y1 y2)"]}, {"universe_formula": 5},
     {"relation_formulas": {"E": ["E", "y1", "y2"]}},

@@ -3,10 +3,10 @@ names the fault, never a bare exception from deep inside a kernel."""
 
 import pytest
 
-from fvkit import (TOP, And, Interpretation, Literal, PVar,
+from fvkit import (MARK, TOP, And, Interpretation, Literal, PVar,
                    ReductionSequence, Structure, SumLikeOp, TestBed,
                    ValidationError, VarPartition, Vocabulary,
-                   annotated_disjoint_union, apply_interpretation,
+                   annotated_disjoint_union, apply_interpretation, builtin,
                    enumerate_classes, normalize_pairs, tower,
                    transfer_oracle, transform_formula)
 from fvkit.formula import relations_used
@@ -59,6 +59,12 @@ CASES = {
     "sum-like-source": (
         lambda: SumLikeOp("identity", IDENTITY),
         "sum-like operation needs source vocabulary = target + marker"),
+    "marker-in-disjoint-union": (
+        lambda: builtin("disjoint-union", {"vocabulary": {MARK: 1}}),
+        "sum-like operation's target vocabulary contains the marker 'P'"),
+    "marker-in-ordered-sum": (
+        lambda: builtin("ordered-sum", {"extra": {"E": 2, MARK: 1}}),
+        "sum-like operation's target vocabulary contains the marker 'P'"),
     "summand-vocabularies": (
         lambda: annotated_disjoint_union(LOOP, MARKED),
         "vocabulary mismatch between summands"),

@@ -1,14 +1,16 @@
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fvkit import (And, BOT, Exists, Forall, Literal, Or, ParseError,
-                   Structure, TOP, ValidationError, Vocabulary, classify,
-                   evaluate, formula_size, free_variables, is_quantifier_free,
-                   negate_dual, parse_formula, print_formula, quantifier_rank,
-                   random_formula)
+from fvkit import (And, BOT, Exists, Forall, Literal, Or, PVar, ParseError,
+                   Structure, TOP, ValidationError, VarPartition, Vocabulary,
+                   classify, decompose, evaluate, formula_size,
+                   free_variables, is_quantifier_free, negate_dual,
+                   parse_formula, print_formula, quantifier_rank,
+                   random_formula, substitute)
 from fvkit.formula import subformulas
+from conftest import rebound
 
 VE = Vocabulary({"E": 2})
 VU = Vocabulary({"U": 1})
@@ -64,6 +66,38 @@ def test_negate_dual_examples():
     # arity-1 and is flattened at parse, so the dual is the bare literal
     assert print_formula(negate_dual(g)) == "(forall (x) (not (U x)))"
     assert negate_dual(TOP) == BOT and negate_dual(BOT) == TOP
+
+
+def test_printing_or_negating_a_non_formula_is_a_type_error():
+    # beta's leaf is a node but no formula
+    for walk in (print_formula, negate_dual):
+        with pytest.raises(TypeError,
+                           match=r"^not a formula: PVar\(index=0, side=1\)$"):
+            walk(PVar(0, 1))
+
+
+def test_substitute_renames_free_variables_only():
+    f = parse_formula("(and (E y y) (exists (x) (E x y)))", VE)
+    assert substitute(f, {}) is f
+    assert substitute(f, {"y": "z"}) == \
+        parse_formula("(and (E z z) (exists (x) (E x z)))", VE)
+    # the binder's own x is not free, so it is left alone
+    assert substitute(f, {"x": "z"}) == f
+    # no free y under a binder of x: nothing to capture
+    g = parse_formula("(and (E y y) (forall (x) (E x x)))", VE)
+    assert substitute(g, {"y": "x"}) == \
+        parse_formula("(and (E x x) (forall (x) (E x x)))", VE)
+
+
+def test_substitute_refuses_capture():
+    f = parse_formula("(exists (x) (E x y))", VE)
+    with pytest.raises(ValidationError,
+                       match=r"^substituting 'x' for free variable 'y' would "
+                       r"be captured by the binder \(exists \(x\) \.\.\.\)$"):
+        substitute(f, {"y": "x"})
+    with pytest.raises(ValidationError, match=r"\(forall \(x\) \.\.\.\)$"):
+        substitute(parse_formula("(or (E y y) (forall (x) (E y x)))", VE),
+                   {"y": "x"})
 
 
 def test_classify_quantifier_free():
@@ -224,10 +258,18 @@ def test_random_formula_rejects_bad_args():
         random_formula("sigma", n=-1, m=1, vocab=VE)
 
 
-@given(formulas())
-def test_roundtrip(item):
-    f = item[0]
-    assert parse_formula(print_formula(f), VEU) == f
+@given(formulas(), st.sampled_from([None, "x", "v1", "v2"]))
+@settings(deadline=None)
+def test_roundtrip(item, name):
+    # Names read back as written: also where every binder reuses one name
+    # (a free v1 or v2 among them), and in the factors decompose makes of
+    # the suite-shaped formula, whose sibling binders share names.
+    f, _, _, _, fv = item
+    if name is not None:
+        f = rebound(f, name)
+    d = decompose(f, VarPartition(fv[:1], fv[1:]))
+    for g in (f,) + d.delta1 + d.delta2:
+        assert parse_formula(print_formula(g), VEU) == g
 
 
 @given(formulas())
@@ -426,7 +468,7 @@ def test_shape_reads_deep_chains(kind):
         assert (c.sigma_level, c.pi_level, c.rank) == (1801, 1802, 1)
         assert formula_size(f) == 3 + 5 * 900
     elif kind == "parsed and-or":
-        # parse_formula renames the 900 bound x apart from the free one
+        # the 900 binders of x keep their name, as does the free x
         f = parse_formula(text, VE)
         c = classify(f)
         # each junction lifts its own level by one over its chain child
@@ -439,13 +481,14 @@ def test_shape_reads_deep_chains(kind):
     assert in_sigma(f, c.sigma_level) and not in_sigma(f, c.sigma_level - 1)
 
 
-# The parser as it was before tokens came from one regex, kept verbatim as
-# the reference for test_parser_matches_reference.
+# The parser as it was before tokens came from one regex, kept as the
+# reference for test_parser_matches_reference; like parse_formula, it keeps
+# bound names as written.
 import re  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from typing import Optional  # noqa: E402
 
-from fvkit.formula import NAME_RE, RESERVED_NAMES, alpha_normalize  # noqa: E402
+from fvkit.formula import NAME_RE, RESERVED_NAMES  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -609,7 +652,7 @@ def _ref_parse_formula(text: str, vocab: Vocabulary):
     extra = parser.peek()
     if extra is not None:
         raise ParseError(f"trailing input {extra.text!r}", extra.line, extra.column)
-    return alpha_normalize(f)
+    return f
 
 
 VT = Vocabulary({"E": 2, "U": 1, "<=": 2})

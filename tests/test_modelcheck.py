@@ -9,7 +9,7 @@ from fvkit import (And, BOT, BudgetExceeded, Exists, Forall, Literal, Or,
                    apply_sum_like, assignment_from_json, assignment_to_json,
                    evaluate, free_variables, negate_dual, parse_formula,
                    print_formula, random_formula)
-from fvkit.modelcheck import DEFAULT_ATOM_BUDGET, _compile
+from fvkit.modelcheck import DEFAULT_ATOM_BUDGET, _compile, _make
 from conftest import all_structures
 from test_acceptance import formula_suite, sum_like_ops
 
@@ -78,6 +78,11 @@ def test_eval_depth():
     for _ in range(5000):
         h = Or((h, lit))
     assert callable(_compile(h))
+
+
+def test_compiling_a_non_formula_is_a_type_error():
+    with pytest.raises(TypeError, match=r"^not a formula: 'E'$"):
+        _make("E")
 
 
 @st.composite

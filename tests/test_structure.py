@@ -65,6 +65,9 @@ def test_equal_structures_hash_alike():
         assert t.elements == s.elements
     assert len({s, *copies}) == 1
     assert Structure(s.vocab, ("b", "a"), s.relations) not in {s}
+    # a structure equals no other kind of value
+    assert s.__eq__(s.vocab) is NotImplemented
+    assert s != s.vocab and s != structure_to_json(s)
 
 
 def test_structures_and_vocabularies_are_frozen():
